@@ -2,13 +2,15 @@
 
 Subcommands: scan, cover, realroots, census, check, density.  Output is
 JSON by default (--format json|tsv|text).  Exit codes: 0 on success
-(a fails-to-cover verdict is a success), 2 on usage or input errors,
+(a fails-to-cover verdict is a success), 1 if stdout was closed before
+the output was written (as by `| head`), 2 on usage or input errors,
 3 if an internal cross-check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -271,6 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so the flush at exit
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, PolyParseError, FormParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

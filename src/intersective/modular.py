@@ -2,8 +2,12 @@
 
 Root counting follows gcd(x^p - x, f) over F_p, so only distinct roots are
 seen.  The cycle type of a squarefree polynomial at a good prime is the
-multiset of irreducible factor degrees, obtained by distinct-degree
-factorization without any equal-degree splitting.
+multiset of irreducible factor degrees.  Over a block of primes it comes
+from a rank census: with Q the Berlekamp matrix of Frobenius on
+F_p[x]/(f), dim ker(Q^k - I) = sum_i gcd(k, d_i) over the factor degrees
+d_i, and Moebius inversion over k = 1..deg f recovers the degrees.  The
+scalar distinct-degree factorization (no equal-degree splitting) is kept
+as its oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ BRUTE_FORCE_MAX_P = 10**4
 # Batched Frobenius accumulates deg-many products below p**2 per entry, so
 # int64 stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
+
+# Lanes per chunk times d**3 stays below this, so each array of the batched
+# rank step holds at most 512 KiB whatever the number of primes.
+_RANK_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,33 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.ones(n, dtype=np.int64)
 
+    p, G, acc = _frobenius_block(f, primes)
+    acc[:, 1] = (acc[:, 1] - 1) % p  # x^p - x in the quotient ring
+
+    counts = np.empty(n, dtype=np.int64)
+    split = ~acc.any(axis=1)
+    counts[split] = d
+    g_rows = np.concatenate([G, np.ones((n, 1), dtype=np.int64)], axis=1)
+    for idx in np.flatnonzero(~split).tolist():
+        counts[idx] = _gcd_degree(
+            g_rows[idx].tolist(), _trim(acc[idx].tolist()), int(p[idx])
+        )
+    return counts
+
+
+def _frobenius_block(
+    f: IntPoly, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monic reductions g and H = x^p mod g at every prime, batched.
+
+    Returns (p, G, H): g = x^d + sum G[:, j] x^j and H[:, j] is the
+    coefficient of x^j.  Needs d >= 2, no prime dividing lc(f), and
+    d * pmax**2 < 2**63.
+    """
+    d = f.degree
+    n = int(primes.size)
+    pmax = int(primes.max())
+    assert d * pmax * pmax < _INT64_LIMIT, "int64 products would overflow"
     p = primes.astype(np.int64)
     coeffs = f.coeffs
     if max(abs(c) for c in coeffs) < _INT64_LIMIT // 2:
@@ -304,10 +339,7 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
             for j in range(i + 1, d):
                 t[:, i + j] += 2 * ai * acc[:, j]
         t %= p[:, None]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = t[:, k]
-            t[:, k - d : k] = (t[:, k - d : k] - c[:, None] * G) % p[:, None]
-        return t[:, :d]
+        return _reduce_mod_g(t, G, p)
 
     acc = np.zeros((n, d), dtype=np.int64)
     acc[:, 0] = 1
@@ -316,17 +348,151 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
         mask = ((p >> k) & 1).astype(bool)
         if mask.any():
             acc = np.where(mask[:, None], mul_by_x(acc), acc)
-    acc[:, 1] = (acc[:, 1] - 1) % p  # x^p - x in the quotient ring
+    return p, G, acc
 
-    counts = np.empty(n, dtype=np.int64)
-    split = ~acc.any(axis=1)
-    counts[split] = d
-    g_rows = np.concatenate([G, np.ones((n, 1), dtype=np.int64)], axis=1)
-    for idx in np.flatnonzero(~split).tolist():
-        counts[idx] = _gcd_degree(
-            g_rows[idx].tolist(), _trim(acc[idx].tolist()), int(p[idx])
-        )
+
+def cycle_types_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
+    """Cycle types of squarefree f at every good prime in primes, batched.
+
+    Entry [i, m - 1] is the number of irreducible factors of degree m of
+    f mod primes[i], so row i is cycle_type_of_good_prime(f, primes[i])
+    as counts per part.  Every prime must be good: p divides neither
+    lc(f) nor disc(f).  Falls back to the scalar routine when int64
+    cannot hold the intermediate products.
+
+    The Berlekamp matrix Q of Frobenius on F_p[x]/(g) has columns
+    x^(jp) mod g, and dim ker(Q^k - I) = sum_i gcd(k, d_i) over the
+    factor degrees d_i; Moebius inversion over k = 1..d yields the
+    counts.  Ranks come from fraction-free elimination, so no inverses
+    are needed, and lanes run in chunks of bounded size.
+    """
+    if f.is_zero:
+        raise ValueError("polynomial is identically zero")
+    d = f.degree
+    n = int(primes.size)
+    if n == 0 or d < 2:
+        return np.ones((n, d), dtype=np.int64)
+    pmax = int(primes.max())
+    if d * pmax * pmax >= _INT64_LIMIT:
+        types = np.zeros((n, d), dtype=np.int64)
+        for i, q in enumerate(primes.tolist()):
+            for part in cycle_type_of_good_prime(f, q):
+                types[i, part - 1] += 1
+        return types
+
+    p, G, H = _frobenius_block(f, primes)
+    chunk = max(1, _RANK_CHUNK_ENTRIES // d**3)
+    kernel_dims = np.concatenate([
+        d - _frobenius_power_ranks(p[s], G[s], H[s])
+        for s in (slice(lo, lo + chunk) for lo in range(0, n, chunk))
+    ])
+    return _moebius_counts(kernel_dims)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod g per lane, g = x^d + sum G[:, j] x^j."""
+    n, d = a.shape
+    t = np.zeros((n, 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        t[:, i : i + d] += a[:, i : i + 1] * b
+    t %= p[:, None]
+    return _reduce_mod_g(t, G, p)
+
+
+def _reduce_mod_g(t: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Reduce reduced coefficient rows t of degree < 2d - 1 modulo monic g."""
+    d = G.shape[1]
+    for k in range(2 * d - 2, d - 1, -1):
+        c = t[:, k]
+        t[:, k - d : k] = (t[:, k - d : k] - c[:, None] * G) % p[:, None]
+    return t[:, :d]
+
+
+def _frobenius_power_ranks(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """rank(Q^k - I) over F_p for k = 1..d per lane, as an n x d array."""
+    n, d = H.shape
+    Q = np.zeros((n, d, d), dtype=np.int64)
+    Q[:, 0, 0] = 1
+    col = H
+    for j in range(1, d):
+        Q[:, :, j] = col
+        if j + 1 < d:
+            col = _mulmod(col, H, G, p)
+    P = p[:, None, None]
+    eye = np.eye(d, dtype=np.int64)
+    # column 0 of Q^k - I is zero (Q fixes the constant 1), so it is left out
+    stack = np.empty((n, d, d, d - 1), dtype=np.int64)
+    Qk = Q
+    for k in range(d):
+        if k:
+            Qk = Qk @ Q % P
+        stack[:, k] = (Qk[:, :, 1:] - eye[:, 1:]) % P
+    return _batch_rank(stack.reshape(n * d, d, d - 1), np.repeat(p, d)).reshape(n, d)
+
+
+def _batch_rank(M: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank over F_p[i] of every matrix M[i] (entries reduced); M is consumed.
+
+    Fraction-free Gauss-Jordan: a pivot a in row r clears column j from
+    every other row as row <- a * row - row[j] * M[r], so entries stay
+    below p**2 before reduction.  Columns up to j are never read again,
+    so only the columns right of j are updated.
+    """
+    m, rows, cols = M.shape
+    lanes = np.arange(m)
+    used = np.zeros((m, rows), dtype=bool)
+    rank = np.zeros(m, dtype=np.int64)
+    P = p[:, None, None]
+    for j in range(cols):
+        col = M[:, :, j]
+        cand = (col != 0) & ~used
+        has = cand.any(axis=1)
+        r = cand.argmax(axis=1)
+        used[lanes, r] |= has
+        rank += has
+        if j + 1 == cols:
+            break
+        rest = M[:, :, j + 1 :]
+        pivot_row = rest[lanes, r]
+        coef = col * has[:, None]  # lanes without a pivot keep their rows
+        rest *= np.where(has, col[lanes, r], 1)[:, None, None]
+        rest -= coef[:, :, None] * pivot_row[:, None, :]
+        rest %= P
+        rest[lanes, r] = pivot_row
+    return rank
+
+
+def _moebius_counts(kernel_dims: np.ndarray) -> np.ndarray:
+    """Counts c_m from N_k = sum_m c_m gcd(k, m), k, m = 1..d, per row.
+
+    gcd(k, m) = sum over e dividing both of phi(e), so N_k sums
+    phi(e) * A_e over e | k, where A_e counts the factors of degree
+    divisible by e.  Moebius inversion over divisors gives A_e, and
+    over multiples gives c_m.
+    """
+    d = kernel_dims.shape[1]
+    mu = [0] + [_moebius(k) for k in range(1, d + 1)]
+    A = np.empty_like(kernel_dims)
+    for e in range(1, d + 1):
+        divisors = [j for j in range(1, e + 1) if e % j == 0]
+        phi = sum(mu[e // j] * j for j in divisors)
+        A[:, e - 1] = sum(mu[e // j] * kernel_dims[:, j - 1] for j in divisors) // phi
+    counts = np.empty_like(kernel_dims)
+    for m in range(1, d + 1):
+        counts[:, m - 1] = sum(mu[t] * A[:, t * m - 1] for t in range(1, d // m + 1))
     return counts
+
+
+def _moebius(n: int) -> int:
+    result, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            result = -result
+        q += 1
+    return -result if n > 1 else result
 
 
 def _gcd_degree(a: list[int], b: list[int], p: int) -> int:

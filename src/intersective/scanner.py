@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intpoly import IntPoly, discriminant, squarefree_part
-from .modular import count_roots_block, cycle_type_of_good_prime
+from .modular import count_roots_block, cycle_types_block
 from .primes import PrimeRange, iter_prime_arrays
 from .quadcover import (
     QuadForm,
@@ -97,15 +97,26 @@ def _scan_block(
         for k, v in Counter(counts.tolist()).items():
             hist[k] += v
         if cyc is not None:
-            for p, rc in zip(parr.tolist(), counts.tolist()):
-                ct = cycle_type_of_good_prime(fstar, p)
-                if sum(ct) != degree or ct.count(1) != rc:
-                    raise InvariantViolation(
-                        f"cycle type {ct} of {fstar} at p={p} disagrees with "
-                        f"root count {rc}"
-                    )
-                cyc[ct] += 1
+            types = cycle_types_block(fstar, parr)
+            wrong = (
+                (types @ np.arange(1, degree + 1) != degree)
+                | (types[:, 0] != counts)
+                | (types < 0).any(axis=1)
+            )
+            if wrong.any():
+                i = int(np.flatnonzero(wrong)[0])
+                raise InvariantViolation(
+                    f"cycle type {_parts(types[i].tolist())} of {fstar} at "
+                    f"p={int(parr[i])} disagrees with root count {int(counts[i])}"
+                )
+            for row, v in Counter(map(tuple, types.tolist())).items():
+                cyc[_parts(row)] += v
     return hist, cyc, excluded, covered
+
+
+def _parts(counts) -> tuple[int, ...]:
+    """Sorted factor degrees from counts per degree (entry m - 1 for m)."""
+    return tuple(m for m, c in enumerate(counts, 1) for _ in range(c))
 
 
 def scan(
@@ -118,7 +129,7 @@ def scan(
 
     Primes dividing 2 * lc(f*) * disc(f*) are listed separately and kept
     out of the histogram.  With with_cycle_types, every good prime also
-    gets a distinct-degree census, cross-checked against the root count.
+    gets its cycle type, cross-checked against the root count.
     """
     if f.is_zero:
         raise ValueError("cannot scan the zero polynomial")

@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import intersective.scanner as scanner_mod
 from intersective.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, expect=0):
@@ -232,11 +239,29 @@ def test_cap_can_be_raised():
 
 
 def test_internal_check_failure_exits_3(monkeypatch):
-    monkeypatch.setattr(
-        scanner_mod, "cycle_type_of_good_prime", lambda f, p: (1, 1)
-    )
+    # cycle type (1, 1) at every prime: the parts miss the degree 3
+    monkeypatch.setattr(scanner_mod, "cycle_types_block",
+                        lambda f, primes: np.tile([2, 0, 0], (primes.size, 1)))
     _, err = run_cli("census", "--poly", "x^3-2", "--to", "100", expect=3)
     assert err.startswith("internal check failed:")
+    assert "p=5 " in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get(
+        "PYTHONPATH", ""))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "intersective.cli", "census", "--poly",
+             "x^3-2", "--to", "20000", "--format", "text"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 1
 
 
 def test_missing_subcommand_is_argparse_error():

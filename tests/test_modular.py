@@ -2,6 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import intersective.modular as modular_mod
 
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
@@ -9,6 +13,8 @@ from intersective.modular import (
     count_roots_block,
     count_roots_mod_p,
     cycle_type_mod_p,
+    cycle_type_of_good_prime,
+    cycle_types_block,
     jacobi,
     reduce,
     roots_mod_p_bruteforce,
@@ -199,3 +205,103 @@ def test_cycle_type_consistency_invariants():
             assert all(part >= 1 for part in ct)
             checked += 1
     assert checked > 2000
+
+
+def type_counts(ct, d):
+    """A sorted cycle type as counts per part degree, the batched layout."""
+    return [ct.count(m) for m in range(1, d + 1)]
+
+
+def assert_block_matches_oracle(fstar, primes):
+    parr = np.array(primes, dtype=np.int64)
+    batch = cycle_types_block(fstar, parr)
+    assert batch.shape == (len(primes), fstar.degree)
+    for row, p in zip(batch.tolist(), primes):
+        assert row == type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree), (
+            fstar, p)
+
+
+def good_primes(fstar, primes):
+    bad = 2 * abs(fstar.lc) * abs(discriminant(fstar))
+    return [p for p in primes if bad % p]
+
+
+def test_cycle_types_block_examples():
+    assert cycle_types_block(TRIPLE, np.array([7, 11], dtype=np.int64)).tolist() == [
+        [2, 2, 0, 0, 0, 0], type_counts(cycle_type_mod_p(TRIPLE, 11), 6)]
+    cubic = IntPoly([-2, 0, 0, 1])
+    assert cycle_types_block(cubic, np.array([5, 7, 31], dtype=np.int64)).tolist() == [
+        [1, 1, 0], [0, 0, 1], [3, 0, 0]]
+
+
+def test_cycle_types_block_matches_oracle_on_criterion_7_polys():
+    # the polynomials of acceptance criterion 7, at every good p < 10^4
+    rng = random.Random(70070)
+    small = list(primes_in(2, 10**4))
+    checked = 0
+    while checked < 50:
+        deg = rng.randint(2, 8)
+        f = IntPoly([rng.randint(-30, 30) for _ in range(deg)] + [
+            rng.choice([c for c in range(-30, 31) if c])
+        ])
+        fstar = squarefree_part(f)
+        if fstar.degree >= 2:
+            assert_block_matches_oracle(fstar, good_primes(fstar, small))
+            checked += 1
+
+
+def random_poly_of_degree(rng, deg, max_coeff):
+    coeffs = [rng.randint(-max_coeff, max_coeff) for _ in range(deg)]
+    return IntPoly(coeffs + [rng.randint(1, max_coeff)])
+
+
+def test_cycle_types_block_matches_oracle_near_scan_cap():
+    window = list(primes_in(10**8 - 2 * 10**4, 10**8))
+    rng = random.Random(10**8)
+    for deg in range(1, 11):
+        while True:
+            fstar = squarefree_part(random_poly_of_degree(rng, deg, 50))
+            if fstar.degree == deg:
+                break
+        assert_block_matches_oracle(fstar, good_primes(fstar, window))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+    lead=st.integers(1, 10**6),
+    primes=st.lists(st.sampled_from(list(primes_in(2, 5 * 10**4))),
+                    min_size=1, max_size=40),
+)
+def test_cycle_types_block_property(coeffs, lead, primes):
+    fstar = squarefree_part(IntPoly(coeffs + [lead]))
+    good = good_primes(fstar, primes)
+    if good:
+        assert_block_matches_oracle(fstar, good)
+
+
+def test_cycle_types_block_int64_fallback():
+    # 3 * p^2 >= 2^63 for p above 1.76e9: every lane takes the scalar path
+    near = [p for p in range(2**31 - 200, 2**31) if is_prime(p)]
+    assert near and 3 * min(near) ** 2 >= 1 << 63
+    assert_block_matches_oracle(IntPoly([-2, 0, 0, 1]), [5, 7, 31] + near)
+
+
+def test_cycle_types_block_empty_and_linear():
+    empty = np.empty(0, dtype=np.int64)
+    assert cycle_types_block(IntPoly([-2, 0, 0, 1]), empty).shape == (0, 3)
+    arr = np.array([3, 5, 7], dtype=np.int64)
+    assert cycle_types_block(IntPoly([4, 1]), arr).tolist() == [[1], [1], [1]]
+    with pytest.raises(ValueError):
+        cycle_types_block(IntPoly([]), arr)
+
+
+def test_cycle_types_block_partial_chunk(monkeypatch):
+    cubic = IntPoly([-2, 0, 0, 1])
+    primes = good_primes(cubic, list(primes_in(2, 200)))
+    whole = cycle_types_block(cubic, np.array(primes, dtype=np.int64))
+    monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 5 * 3**3)  # 5 lanes
+    assert len(primes) % 5 != 0
+    assert_block_matches_oracle(cubic, primes)
+    assert cycle_types_block(cubic, np.array(primes, dtype=np.int64)).tolist() == (
+        whole.tolist())

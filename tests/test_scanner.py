@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import intersective.scanner as scanner_mod
@@ -84,10 +85,10 @@ def test_scan_rejects_bad_inputs():
 
 
 def test_invariant_violation_raised_on_bogus_census(monkeypatch):
-    monkeypatch.setattr(
-        scanner_mod, "cycle_type_of_good_prime", lambda f, p: (1, 1)
-    )
-    with pytest.raises(InvariantViolation):
+    # cycle type (1, 1) at every prime: the parts miss the degree 3
+    monkeypatch.setattr(scanner_mod, "cycle_types_block",
+                        lambda f, primes: np.tile([2, 0, 0], (primes.size, 1)))
+    with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=5 "):
         scan(IntPoly((-2, 0, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
 
 
