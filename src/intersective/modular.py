@@ -1,13 +1,18 @@
 """Polynomial arithmetic mod p: root counts, Jacobi symbols, cycle types.
 
-Root counting follows gcd(x^p - x, f) over F_p, so only distinct roots are
-seen.  The cycle type of a squarefree polynomial at a good prime is the
-multiset of irreducible factor degrees.  Over a block of primes it comes
-from a rank census: with Q the Berlekamp matrix of Frobenius on
-F_p[x]/(f), dim ker(Q^k - I) = sum_i gcd(k, d_i) over the factor degrees
-d_i, and Moebius inversion over k = 1..deg f recovers the degrees.  The
-scalar distinct-degree factorization (no equal-degree splitting) is kept
-as its oracle.
+The root count of f mod p is deg gcd(x^p - x, f) over F_p, so only
+distinct roots are seen.  Over a block of primes it comes from a batched
+rank over F_p: d - rank of multiplication by x^p - x on F_p[x]/(f).  The
+scalar gcd is kept as its oracle and int64 fallback.
+
+The cycle type of a squarefree polynomial at a good prime is the multiset
+of irreducible factor degrees.  Over a block of primes it comes from a
+rank census: with Q the Berlekamp matrix of Frobenius on F_p[x]/(f),
+dim ker(Q^k - I) = sum_i gcd(k, d_i) over the factor degrees d_i, and
+Moebius inversion over k = 1..deg f recovers the degrees.  The scalar
+distinct-degree factorization (no equal-degree splitting) is kept as its
+oracle.  census_block gives root counts and cycle types from one powering
+of x^p mod f.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ from .intpoly import IntPoly, discriminant, squarefree_part
 
 BRUTE_FORCE_MAX_P = 10**4
 
-# Batched Frobenius accumulates deg-many products below p**2 per entry, so
-# int64 stays exact while deg * p**2 < 2**63.
+# Batched arithmetic keeps every int64 entry within deg * p**2 in absolute
+# value (see _frobenius_block), so it stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
-# Lanes per chunk times d**3 stays below this, so each array of the batched
-# rank step holds at most 512 KiB whatever the number of primes.
+# Lanes per chunk times the entries per lane stays below this, so each array
+# of a batched rank step holds at most 512 KiB whatever the number of
+# primes: d**3 entries per lane for the d matrices Q^k - I of the cycle-type
+# census, d**2 for the d x d matrix of the root count.
 _RANK_CHUNK_ENTRIES = 1 << 16
 
 
@@ -267,7 +274,11 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     """count_roots_mod_p(f, p) for every p in primes, batched.
 
     Every prime must leave the degree intact (p does not divide lc(f)).
-    Falls back to the scalar routine when int64 cannot hold the
+    The count is d - rank(M_h) over F_p, where M_h is multiplication by
+    h = x^p - x on F_p[x]/(g), g = f mod p: its kernel has dimension
+    deg gcd(g, h), so the count is exact for any g, squarefree or not.
+    The ranks come from batched fraction-free elimination in lane
+    chunks.  Falls back to the scalar routine when int64 cannot hold the
     intermediate products.
     """
     if f.is_zero:
@@ -278,77 +289,11 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if d == 0:
         return np.zeros(n, dtype=np.int64)
-    pmax = int(primes.max())
-    if d * pmax * pmax >= _INT64_LIMIT:
+    if not _fits_int64(d, primes):
         return np.array([count_roots_mod_p(f, int(p)) for p in primes], dtype=np.int64)
     if d == 1:
         return np.ones(n, dtype=np.int64)
-
-    p, G, acc = _frobenius_block(f, primes)
-    acc[:, 1] = (acc[:, 1] - 1) % p  # x^p - x in the quotient ring
-
-    counts = np.empty(n, dtype=np.int64)
-    split = ~acc.any(axis=1)
-    counts[split] = d
-    g_rows = np.concatenate([G, np.ones((n, 1), dtype=np.int64)], axis=1)
-    for idx in np.flatnonzero(~split).tolist():
-        counts[idx] = _gcd_degree(
-            g_rows[idx].tolist(), _trim(acc[idx].tolist()), int(p[idx])
-        )
-    return counts
-
-
-def _frobenius_block(
-    f: IntPoly, primes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monic reductions g and H = x^p mod g at every prime, batched.
-
-    Returns (p, G, H): g = x^d + sum G[:, j] x^j and H[:, j] is the
-    coefficient of x^j.  Needs d >= 2, no prime dividing lc(f), and
-    d * pmax**2 < 2**63.
-    """
-    d = f.degree
-    n = int(primes.size)
-    pmax = int(primes.max())
-    assert d * pmax * pmax < _INT64_LIMIT, "int64 products would overflow"
-    p = primes.astype(np.int64)
-    coeffs = f.coeffs
-    if max(abs(c) for c in coeffs) < _INT64_LIMIT // 2:
-        cols = [np.remainder(np.int64(c), p) for c in coeffs]
-    else:
-        plist = p.tolist()
-        cols = [np.array([c % q for q in plist], dtype=np.int64) for c in coeffs]
-    lead = cols[-1]
-    assert int((lead == 0).sum()) == 0, "prime divides leading coefficient"
-    inv = _batch_powmod(lead, p - 2, p)
-    # monic reduction g = x^d + sum G[:, j] x^j
-    G = np.stack([col * inv % p for col in cols[:-1]], axis=1)
-
-    def mul_by_x(acc: np.ndarray) -> np.ndarray:
-        top = acc[:, d - 1]
-        out = np.empty_like(acc)
-        out[:, 1:] = acc[:, : d - 1]
-        out[:, 0] = 0
-        return (out - top[:, None] * G) % p[:, None]
-
-    def square(acc: np.ndarray) -> np.ndarray:
-        t = np.zeros((n, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            ai = acc[:, i]
-            t[:, 2 * i] += ai * ai
-            for j in range(i + 1, d):
-                t[:, i + j] += 2 * ai * acc[:, j]
-        t %= p[:, None]
-        return _reduce_mod_g(t, G, p)
-
-    acc = np.zeros((n, d), dtype=np.int64)
-    acc[:, 0] = 1
-    for k in range(pmax.bit_length() - 1, -1, -1):
-        acc = square(acc)
-        mask = ((p >> k) & 1).astype(bool)
-        if mask.any():
-            acc = np.where(mask[:, None], mul_by_x(acc), acc)
-    return p, G, acc
+    return _root_counts(*_frobenius_block(f, primes))
 
 
 def cycle_types_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
@@ -372,50 +317,156 @@ def cycle_types_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     n = int(primes.size)
     if n == 0 or d < 2:
         return np.ones((n, d), dtype=np.int64)
-    pmax = int(primes.max())
-    if d * pmax * pmax >= _INT64_LIMIT:
+    if not _fits_int64(d, primes):
         types = np.zeros((n, d), dtype=np.int64)
         for i, q in enumerate(primes.tolist()):
             for part in cycle_type_of_good_prime(f, q):
                 types[i, part - 1] += 1
         return types
+    return _cycle_types(*_frobenius_block(f, primes))
 
-    p, G, H = _frobenius_block(f, primes)
+
+def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(count_roots_block(f, primes), cycle_types_block(f, primes)).
+
+    Both come from one powering of x^p mod g.  The root count is the
+    rank of multiplication by x^p - x and the cycle type comes from the
+    ranks of Q^k - I, so comparing them still checks one matrix against
+    another.  The primes must be good for squarefree f.
+    """
+    if f.is_zero:
+        raise ValueError("polynomial is identically zero")
+    if primes.size == 0 or f.degree < 2 or not _fits_int64(f.degree, primes):
+        return count_roots_block(f, primes), cycle_types_block(f, primes)
+    frob = _frobenius_block(f, primes)
+    return _root_counts(*frob), _cycle_types(*frob)
+
+
+def _fits_int64(d: int, primes: np.ndarray) -> bool:
+    pmax = int(primes.max())
+    return d * pmax * pmax < _INT64_LIMIT
+
+
+def _frobenius_block(
+    f: IntPoly, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monic reductions g and H = x^p mod g at every prime, batched.
+
+    Returns (p, G, H) coefficient-major: g = x^d + sum G[j] x^j and
+    H[j] is the coefficient of x^j, each row holding one value per
+    prime.  Needs d >= 2, no prime dividing lc(f), and d * pmax**2 < 2**63.
+    """
+    d = f.degree
+    n = int(primes.size)
+    pmax = int(primes.max())
+    # Lazy bound: an entry of a product sums at most d products of reduced
+    # entries, each below p**2, and the lazy reduction (_reduce_mod_g)
+    # subtracts at most d - 1 more, so entries stay within d * p**2.
+    assert d * pmax * pmax < _INT64_LIMIT, "int64 products would overflow"
+    p = primes.astype(np.int64)
+    coeffs = f.coeffs
+    if max(abs(c) for c in coeffs) < _INT64_LIMIT // 2:
+        cols = [np.remainder(np.int64(c), p) for c in coeffs]
+    else:
+        plist = p.tolist()
+        cols = [np.array([c % q for q in plist], dtype=np.int64) for c in coeffs]
+    lead = cols[-1]
+    assert int((lead == 0).sum()) == 0, "prime divides leading coefficient"
+    inv = _batch_powmod(lead, p - 2, p)
+    # monic reduction g = x^d + sum G[j] x^j
+    G = np.stack([col * inv % p for col in cols[:-1]])
+
+    def square(acc: np.ndarray) -> np.ndarray:
+        t = np.empty((2 * d - 1, n), dtype=np.int64)
+        t[0::2] = acc * acc
+        t[1::2] = 0
+        for i in range(d - 1):
+            t[2 * i + 1 : i + d] += (2 * acc[i]) * acc[i + 1 :]
+        return _reduce_mod_g(t, G, p)
+
+    acc = np.zeros((d, n), dtype=np.int64)
+    acc[0] = 1
+    for k in range(pmax.bit_length() - 1, -1, -1):
+        acc = square(acc)
+        mask = ((p >> k) & 1).astype(bool)
+        if mask.any():
+            acc = np.where(mask, _mul_by_x(acc, G, p), acc)
+    return p, G, acc
+
+
+def _mul_by_x(a: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * a mod g per lane, coefficient-major, a reduced."""
+    out = np.empty_like(a)
+    out[1:] = a[:-1]
+    out[0] = 0
+    out -= a[-1] * G
+    out %= p
+    return out
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod g per lane, coefficient-major, a and b reduced."""
+    d, n = a.shape
+    t = np.zeros((2 * d - 1, n), dtype=np.int64)
+    for i in range(d):
+        t[i : i + d] += a[i] * b
+    return _reduce_mod_g(t, G, p)
+
+
+def _reduce_mod_g(t: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Reduce rows t of degree < 2d - 1 modulo monic g; t is consumed.
+
+    Entries of t may be unreduced sums of at most d products below p**2.
+    Reduction is lazy: each step takes % p of the leading row only and
+    subtracts below p**2 from the d rows beneath it, so an entry gets at
+    most d - 1 subtractions and stays within d * p**2 in absolute value.
+    The remainder is reduced once at the end.
+    """
+    d = G.shape[0]
+    for k in range(2 * d - 2, d - 1, -1):
+        t[k - d : k] -= (t[k] % p) * G
+    return t[:d] % p
+
+
+def _root_counts(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """d - rank(M_h) per lane, M_h with columns x^j * (H - x) mod g."""
+    d, n = H.shape
+    h = H.copy()
+    h[1] = (h[1] - 1) % p  # x^p - x in the quotient ring
+    counts = np.full(n, d, dtype=np.int64)
+    rest = np.flatnonzero(h.any(axis=0))  # h = 0: g splits into distinct roots
+    chunk = max(1, _RANK_CHUNK_ENTRIES // d**2)
+    for lo in range(0, rest.size, chunk):
+        idx = rest[lo : lo + chunk]
+        q, g, col = p[idx], G[:, idx], h[:, idx]
+        M = np.empty((idx.size, d, d), dtype=np.int64)
+        for j in range(d):
+            M[:, :, j] = col.T
+            if j + 1 < d:
+                col = _mul_by_x(col, g, q)
+        counts[idx] = d - _batch_rank(M, q)
+    return counts
+
+
+def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Counts per factor degree from the ranks of Q^k - I, in lane chunks."""
+    d, n = H.shape
     chunk = max(1, _RANK_CHUNK_ENTRIES // d**3)
     kernel_dims = np.concatenate([
-        d - _frobenius_power_ranks(p[s], G[s], H[s])
+        d - _frobenius_power_ranks(p[s], G[:, s], H[:, s])
         for s in (slice(lo, lo + chunk) for lo in range(0, n, chunk))
     ])
     return _moebius_counts(kernel_dims)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b mod g per lane, g = x^d + sum G[:, j] x^j."""
-    n, d = a.shape
-    t = np.zeros((n, 2 * d - 1), dtype=np.int64)
-    for i in range(d):
-        t[:, i : i + d] += a[:, i : i + 1] * b
-    t %= p[:, None]
-    return _reduce_mod_g(t, G, p)
-
-
-def _reduce_mod_g(t: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Reduce reduced coefficient rows t of degree < 2d - 1 modulo monic g."""
-    d = G.shape[1]
-    for k in range(2 * d - 2, d - 1, -1):
-        c = t[:, k]
-        t[:, k - d : k] = (t[:, k - d : k] - c[:, None] * G) % p[:, None]
-    return t[:, :d]
-
-
 def _frobenius_power_ranks(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     """rank(Q^k - I) over F_p for k = 1..d per lane, as an n x d array."""
-    n, d = H.shape
+    d, n = H.shape
     Q = np.zeros((n, d, d), dtype=np.int64)
     Q[:, 0, 0] = 1
     col = H
     for j in range(1, d):
-        Q[:, :, j] = col
+        Q[:, :, j] = col.T
         if j + 1 < d:
             col = _mulmod(col, H, G, p)
     P = p[:, None, None]
@@ -493,13 +544,3 @@ def _moebius(n: int) -> int:
             result = -result
         q += 1
     return -result if n > 1 else result
-
-
-def _gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """deg gcd(a, b) over F_p; a monic, b nonzero of lower degree."""
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        if inv != 1:
-            b = [c * inv % p for c in b]
-        a, b = b, _fp_rem(a, b, p)
-    return len(a) - 1

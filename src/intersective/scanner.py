@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intpoly import IntPoly, discriminant, squarefree_part
-from .modular import count_roots_block, cycle_types_block
+from .modular import census_block, count_roots_block
 from .primes import PrimeRange, iter_prime_arrays
 from .quadcover import (
     QuadForm,
@@ -92,12 +92,10 @@ def _scan_block(
             parr = parr[good_mask]
         if parr.size == 0:
             continue
-        counts = count_roots_block(fstar, parr)
-        covered += int((counts > 0).sum())
-        for k, v in Counter(counts.tolist()).items():
-            hist[k] += v
-        if cyc is not None:
-            types = cycle_types_block(fstar, parr)
+        if cyc is None:
+            counts = count_roots_block(fstar, parr)
+        else:
+            counts, types = census_block(fstar, parr)
             wrong = (
                 (types @ np.arange(1, degree + 1) != degree)
                 | (types[:, 0] != counts)
@@ -111,6 +109,9 @@ def _scan_block(
                 )
             for row, v in Counter(map(tuple, types.tolist())).items():
                 cyc[_parts(row)] += v
+        covered += int((counts > 0).sum())
+        for k, v in Counter(counts.tolist()).items():
+            hist[k] += v
     return hist, cyc, excluded, covered
 
 

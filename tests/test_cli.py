@@ -12,6 +12,7 @@ import pytest
 
 import intersective.scanner as scanner_mod
 from intersective.cli import build_parser, main
+from intersective.modular import count_roots_block
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -240,8 +241,8 @@ def test_cap_can_be_raised():
 
 def test_internal_check_failure_exits_3(monkeypatch):
     # cycle type (1, 1) at every prime: the parts miss the degree 3
-    monkeypatch.setattr(scanner_mod, "cycle_types_block",
-                        lambda f, primes: np.tile([2, 0, 0], (primes.size, 1)))
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
+        count_roots_block(f, primes), np.tile([2, 0, 0], (primes.size, 1))))
     _, err = run_cli("census", "--poly", "x^3-2", "--to", "100", expect=3)
     assert err.startswith("internal check failed:")
     assert "p=5 " in err

@@ -1,8 +1,9 @@
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intersective.modular as modular_mod
@@ -10,6 +11,7 @@ import intersective.modular as modular_mod
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
     FpPoly,
+    census_block,
     count_roots_block,
     count_roots_mod_p,
     cycle_type_mod_p,
@@ -162,6 +164,69 @@ def test_count_roots_block_empty_and_linear():
     assert count_roots_block(IntPoly([4, 1]), arr).tolist() == [1, 1, 1]
 
 
+def assert_block_counts_bruteforce(f, primes):
+    good = [p for p in primes if f.lc % p]
+    batch = count_roots_block(f, np.array(good, dtype=np.int64))
+    assert batch.tolist() == [len(roots_mod_p_bruteforce(f, p)) for p in good], f
+
+
+@settings(max_examples=60, deadline=None)
+# (x + 2)(x^2 + x + 1) (x - 1)^2 is not squarefree over Z or mod any p
+@example(coeffs=[2, 3, 3], lead=1, squared_roots=[1], primes=list(primes_in(2, 2000)))
+@given(
+    coeffs=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=6),
+    lead=st.integers(1, 10**4),
+    squared_roots=st.lists(st.integers(-5, 5), max_size=2),
+    primes=st.lists(st.sampled_from(list(primes_in(2, 10**4))), min_size=1, max_size=10),
+)
+def test_count_roots_block_property(coeffs, lead, squared_roots, primes):
+    f = IntPoly(coeffs + [lead])
+    for r in squared_roots:
+        f = multiply(f, IntPoly([r * r, -2 * r, 1]))  # (x - r)^2
+    assert_block_counts_bruteforce(f, primes)
+
+
+def test_count_roots_block_product_of_linear_factors():
+    # the roots 0, 1, ..., d - 1 are min(d, p) residues mod p
+    primes = np.array(list(primes_in(2, 10**4)) + list(primes_in(10**8 - 10**4, 10**8)),
+                      dtype=np.int64)
+    for d in (2, 3, 6, 10):
+        f = IntPoly([1])
+        for r in range(d):
+            f = multiply(f, IntPoly([-r, 1]))
+        assert count_roots_block(f, primes).tolist() == np.minimum(primes, d).tolist()
+
+
+def largest_batched_primes(d, count):
+    """The count largest primes p with d * p^2 < 2^63, the int64 edge, ascending."""
+    p = isqrt(((1 << 63) - 1) // d)
+    found = []
+    while len(found) < count:
+        if is_prime(p):
+            found.append(p)
+        p -= 1
+    return found[::-1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 10])
+def test_block_kernels_at_int64_edge(d):
+    primes = largest_batched_primes(d, 6)
+    assert d * primes[-1] ** 2 < 1 << 63 <= d * (primes[0] + 10**4) ** 2
+    parr = np.array(primes, dtype=np.int64)
+    rng = random.Random(d)
+    for linear in ([], [3, -5], [1, 1]):  # generic, two roots, a double root
+        while True:
+            f = random_poly_of_degree(rng, d - len(linear), 50)
+            for r in linear:
+                f = multiply(f, IntPoly([-r, 1]))
+            if f.degree == d and all(f.lc % p for p in primes):
+                break
+        assert count_roots_block(f, parr).tolist() == [count_roots_mod_p(f, p) for p in primes]
+        fstar = squarefree_part(f)
+        if fstar.degree >= 2:
+            assert_block_matches_oracle(fstar, good_primes(fstar, primes))
+
+
 def test_cycle_type_examples():
     assert cycle_type_mod_p(TRIPLE, 7) == (1, 1, 2, 2)
     assert cycle_type_mod_p(IntPoly([-2, 0, 0, 1]), 5) == (1, 2)
@@ -305,3 +370,23 @@ def test_cycle_types_block_partial_chunk(monkeypatch):
     assert_block_matches_oracle(cubic, primes)
     assert cycle_types_block(cubic, np.array(primes, dtype=np.int64)).tolist() == (
         whole.tolist())
+
+
+def test_census_block_matches_separate_kernels():
+    near = [p for p in range(2**31 - 200, 2**31) if is_prime(p)]  # int64 fallback
+    for fstar in (IntPoly([-2, 0, 0, 1]), TRIPLE, IntPoly([4, 1])):
+        for primes in (good_primes(fstar, list(primes_in(2, 3000))), near, []):
+            parr = np.array(primes, dtype=np.int64)
+            counts, types = census_block(fstar, parr)
+            assert counts.tolist() == count_roots_block(fstar, parr).tolist()
+            assert types.tolist() == cycle_types_block(fstar, parr).tolist()
+
+
+def test_count_roots_block_partial_chunk(monkeypatch):
+    cubic = IntPoly([-2, 0, 0, 1])
+    parr = np.array(list(primes_in(5, 3000)), dtype=np.int64)
+    whole = count_roots_block(cubic, parr)
+    monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 7 * 3**2)  # 7 lanes
+    assert int((whole != 3).sum()) % 7 != 0  # the last chunk is partial
+    assert count_roots_block(cubic, parr).tolist() == whole.tolist()
+    assert whole.tolist() == [count_roots_mod_p(cubic, int(p)) for p in parr]

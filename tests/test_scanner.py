@@ -5,6 +5,7 @@ import pytest
 
 import intersective.scanner as scanner_mod
 from intersective.intpoly import IntPoly
+from intersective.modular import count_roots_block
 from intersective.primes import PrimeRange, primes_in
 from intersective.quadcover import QuadForm
 from intersective.scanner import (
@@ -86,8 +87,8 @@ def test_scan_rejects_bad_inputs():
 
 def test_invariant_violation_raised_on_bogus_census(monkeypatch):
     # cycle type (1, 1) at every prime: the parts miss the degree 3
-    monkeypatch.setattr(scanner_mod, "cycle_types_block",
-                        lambda f, primes: np.tile([2, 0, 0], (primes.size, 1)))
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
+        count_roots_block(f, primes), np.tile([2, 0, 0], (primes.size, 1))))
     with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=5 "):
         scan(IntPoly((-2, 0, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
 
