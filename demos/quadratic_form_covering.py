@@ -6,7 +6,7 @@ A form q(x,y) = ax^2 + bxy + cy^2 "covers" an odd prime p when q has a
 nontrivial zero mod p, which for p not dividing a*disc happens exactly
 when the discriminant is a square mod p.  Covering by a finite set is
 therefore a statement about quadratic characters, and it is decidable
-by linear algebra over F_2 on squarefree kernels.
+by linear algebra over F_2 on the square classes of the discriminants.
 
 1. decide covering for the classic triple {x^2+y^2, x^2+2y^2, x^2-2y^2}
    and print the certificate (an odd subset whose discriminant product
@@ -59,7 +59,7 @@ def main():
     forms = [QuadForm(2, 2, 3), QuadForm(1, 1, 5), QuadForm(3, -2, 4)]
     describe(forms)
     print("every positive definite form has negative discriminant, so the")
-    print("sign coordinate of each kernel is fixed and no odd subset can")
+    print("sign coordinate of each square class is fixed and no odd subset can")
     print("multiply to a square: the all-(-1) character assignment survives\n")
 
     print("-- exact densities vs a scan up to 10^5 --")

@@ -7,7 +7,6 @@ from .intpoly import (
     discriminant,
     evaluate,
     multiply,
-    squarefree_kernel,
     squarefree_part,
     to_text,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "multiply",
     "discriminant",
     "squarefree_part",
-    "squarefree_kernel",
     "to_text",
     "PrimeRange",
     "primes_in",

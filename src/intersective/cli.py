@@ -23,24 +23,18 @@ from .parse import (
     read_forms_file,
 )
 from .primes import PrimeRange
-from .quadcover import (
-    QuadForm,
-    decide_cover,
-    exact_root_distribution,
-    product_polynomial,
-)
+from .quadcover import QuadForm, decide_cover, exact_root_distribution
 from .scanner import (
     DEFAULT_SCAN_CAP,
     HARD_SCAN_CAP,
     MIN_DENSITY_RANGE_END,
     InvariantViolation,
-    RealRootCheck,
     check_real_roots,
     check_real_roots_forms,
-    compare_densities,
+    density_comparison,
     scan,
 )
-from .sturm import count_real_roots, isolate_real_roots
+from .sturm import isolate_real_roots
 
 
 class UsageError(ValueError):
@@ -196,53 +190,18 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if has_poly == has_forms:
         raise UsageError("check needs exactly one of --poly or --form/--forms-file")
     rng = _make_range(args)
+    comparison = None
     if has_poly:
-        f = _nonconstant_poly(args.poly)
-        check = check_real_roots(f, rng)
-        obj = reports.real_root_check_json(check)
-        obj["density_table"] = None
-        obj["max_abs_deviation"] = None
-        text = (
-            f"mode: {check.mode}\n"
-            f"minimum roots observed: {check.min_roots_observed}\n"
-            f"distinct real roots: {check.real_root_count}\n"
-            f"verdict: {check.verdict}"
-        )
-        _emit(args, obj, text)
-        return
-    forms = _collect_forms(args)
-    if rng.hi >= MIN_DENSITY_RANGE_END:
-        comparison, report, dist = compare_densities(forms, rng)
-        real = count_real_roots(product_polynomial(forms))
-        verdict = "consistent" if real >= dist.min_roots else "inconsistent"
-        check = RealRootCheck(
-            report.min_roots_observed, real, dist.min_roots, verdict, "exact"
-        )
-        obj = reports.real_root_check_json(check)
-        obj["density_table"] = reports.density_rows_json(comparison)
-        obj["max_abs_deviation"] = reports.decimal6(comparison.max_abs_deviation)
-        text = (
-            f"mode: {check.mode}\n"
-            f"exact minimum roots over classes: {check.exact_min_roots}\n"
-            f"minimum roots observed: {check.min_roots_observed}\n"
-            f"distinct real roots: {check.real_root_count}\n"
-            f"verdict: {check.verdict}\n"
-            + reports.density_comparison_text(comparison)
-        )
-        _emit(args, obj, text)
+        check = check_real_roots(_nonconstant_poly(args.poly), rng)
     else:
-        check, _report, _dist = check_real_roots_forms(forms, rng)
-        obj = reports.real_root_check_json(check)
-        obj["density_table"] = None
-        obj["max_abs_deviation"] = None
-        text = (
-            f"mode: {check.mode}\n"
-            f"exact minimum roots over classes: {check.exact_min_roots}\n"
-            f"minimum roots observed: {check.min_roots_observed}\n"
-            f"distinct real roots: {check.real_root_count}\n"
-            f"verdict: {check.verdict}"
-        )
-        _emit(args, obj, text)
+        check, report, dist = check_real_roots_forms(_collect_forms(args), rng)
+        if rng.hi >= MIN_DENSITY_RANGE_END:
+            comparison = density_comparison(dist, report)
+    _emit(
+        args,
+        reports.real_root_check_json(check, comparison),
+        reports.real_root_check_text(check, comparison),
+    )
 
 
 def _cmd_density(args: argparse.Namespace) -> None:

@@ -1,17 +1,9 @@
-"""Exact arithmetic on univariate integer polynomials and square classes of integers."""
+"""Exact arithmetic on univariate integer polynomials."""
 
 from __future__ import annotations
 
 from math import gcd as _int_gcd
-from math import isqrt
 from typing import Iterable
-
-from .primes import is_prime
-
-# Trial division limit used when certifying squarefree kernels.
-TRIAL_DIVISION_BOUND = 10**6
-
-_U64 = 1 << 64
 
 
 class IntPoly:
@@ -310,85 +302,6 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if q.lc < 0:
         q = negate(q)
     return q
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 1."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _rough_kernel(m: int, original: int) -> tuple[int, ...]:
-    """Squarefree kernel factors of m, all of whose prime factors exceed
-    TRIAL_DIVISION_BOUND.  Certifies every branch or refuses."""
-    if m == 1:
-        return ()
-    r = isqrt(m)
-    if r * r == m:
-        # A perfect square contributes nothing regardless of its factors.
-        return ()
-    if m < TRIAL_DIVISION_BOUND**2:
-        return (m,)  # composite would need a factor below the trial bound
-    if m < _U64 and is_prime(m):
-        return (m,)
-    k = 3
-    while (1 << k) <= m:
-        r = _iroot(m, k)
-        if r**k == m:
-            # Odd perfect power: kernel equals the kernel of the base.
-            return _rough_kernel(r, original)
-        k += 2
-    raise ValueError(f"cannot certify the squarefree kernel of {original}")
-
-
-def squarefree_kernel_factors(n: int) -> tuple[int, tuple[int, ...]]:
-    """(kernel, prime factors of |kernel|) for n != 0.
-
-    The kernel is the unique squarefree k with n = k * m**2; its sign is
-    the sign of n.  Factors beyond the trial bound are certified prime or
-    the call raises.
-    """
-    if n == 0:
-        raise ValueError("0 has no square class")
-    m = -n if n < 0 else n
-    factors = []
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e % 2:
-        factors.append(2)
-    d = 3
-    while d * d <= m and d <= TRIAL_DIVISION_BOUND:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e % 2:
-                factors.append(d)
-        d += 2
-    if m > 1:
-        if d * d > m:
-            factors.append(m)  # cofactor below d**2 with no divisor <= sqrt
-        else:
-            factors.extend(_rough_kernel(m, n))
-    factors.sort()
-    kernel = 1
-    for p in factors:
-        kernel *= p
-    return (-kernel if n < 0 else kernel), tuple(factors)
-
-
-def squarefree_kernel(n: int) -> int:
-    """Unique squarefree k, same sign as n, with n / k a perfect square."""
-    return squarefree_kernel_factors(n)[0]
 
 
 def to_text(f: IntPoly) -> str:

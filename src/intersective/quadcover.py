@@ -4,23 +4,25 @@ A form q(x, y) = a x^2 + b x y + c y^2 covers a prime p when it has a
 nontrivial zero mod p.  For odd p not dividing a this happens exactly when
 the discriminant b^2 - 4ac is not a nonresidue mod p, so covering behavior
 of a finite set of forms is governed by the square classes of their
-discriminants, viewed as F_2 vectors over a shared basis of sign and
-primes.  Quadratic reciprocity makes every +/-1 assignment on that basis
-realizable by infinitely many primes, which turns the covering question
-into exact F_2 linear algebra.
+discriminants, viewed as F_2 vectors over a shared basis: the sign and
+the non-square elements of a coprime base of the |disc_i|, found by gcds
+alone.  Those elements have independent quadratic characters, so every
++/-1 assignment on the basis is realized by infinitely many primes, which
+turns the covering question into exact F_2 linear algebra.  One greedy
+elimination serves both the covering decision and the root-count
+distribution.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 import numpy as np
 
-from .intpoly import IntPoly, multiply, squarefree_kernel_factors
+from .intpoly import IntPoly, multiply
 from .modular import jacobi
 from .primes import primes_in
 
@@ -88,9 +90,10 @@ def form_covers_p(q: QuadForm, p: int) -> bool:
 class SquareClass:
     """Square class of a form discriminant as an F_2 vector.
 
-    kernel is the squarefree integer representing the class (1 for squares
-    and for discriminant 0); bits has bit j set when basis element j
-    divides the kernel, with basis[0] = -1 standing for the sign.
+    bits has bit j set when basis element j occurs to an odd power in the
+    discriminant, with basis[0] = -1 standing for the sign; kernel is the
+    product of those basis elements, an integer in the same square class
+    (1 for squares and for discriminant 0).
     """
 
     kernel: int
@@ -101,29 +104,53 @@ class SquareClass:
         return self.bits == 0
 
 
+def _coprime_base(values: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, of which every value > 1
+    is a product of powers: split any two elements by their gcd until
+    none share a factor (the naive form of Bernstein's coprime base)."""
+    base: list[int] = []
+    work = [n for n in values if n > 1]
+    while work:
+        n = work.pop()
+        for i, b in enumerate(base):
+            g = gcd(n, b)
+            if g > 1:
+                del base[i]
+                work.extend(m for m in (b // g, g, n // g) if m > 1)
+                break
+        else:
+            base.append(n)
+    return sorted(base)
+
+
 def build_square_classes(
     forms: list[QuadForm],
 ) -> tuple[list[SquareClass], tuple[int, ...]]:
     """Square classes of the form discriminants over a shared basis.
 
-    The basis is (-1, p_1, p_2, ...) with the primes ascending; every
-    discriminant's kernel is reconstructed exactly by the product of its
-    set basis elements.
+    The basis is (-1, b_1, b_2, ...): the b_j, ascending, are the elements
+    of a coprime base of the |disc_i| that are not perfect squares.  Being
+    pairwise coprime non-squares, they and -1 have independent quadratic
+    characters, so the span of the classes, and with it every rank and
+    density, is the same as over the prime factors; no integer is factored.
     """
     if not forms:
         raise ValueError("at least one form is required")
-    kernels: list[tuple[int, tuple[int, ...]]] = []
-    for q in forms:
-        disc = form_discriminant(q)
-        kernels.append((1, ()) if disc == 0 else squarefree_kernel_factors(disc))
-    basis_primes = sorted({p for _, facs in kernels for p in facs})
-    basis = (-1,) + tuple(basis_primes)
-    index = {p: j + 1 for j, p in enumerate(basis_primes)}
+    discs = [form_discriminant(q) for q in forms]
+    basis = (-1,) + tuple(
+        b for b in _coprime_base([abs(d) for d in discs]) if isqrt(b) ** 2 != b
+    )
     classes = []
-    for kernel, facs in kernels:
-        bits = 1 if kernel < 0 else 0
-        for p in facs:
-            bits |= 1 << index[p]
+    for d in discs:
+        kernel, bits, m = (-1, 1, -d) if d < 0 else (1, 0, d)
+        for j, b in enumerate(basis[1:], 1):
+            odd = False
+            while m and m % b == 0:
+                m //= b
+                odd = not odd
+            if odd:
+                kernel *= b
+                bits |= 1 << j
         classes.append(SquareClass(kernel, bits))
     return classes, basis
 
@@ -174,14 +201,42 @@ class FailsToCover:
 CoverVerdict = Union[Covers, FailsToCover]
 
 
-def _verify_covers_witness(classes: list[SquareClass], witness: tuple[int, ...]) -> None:
+def _verify_covers_witness(discs: list[int], witness: tuple[int, ...]) -> None:
     if len(witness) % 2 != 1:
         raise AssertionError("covering witness subset must have odd size")
     prod = 1
     for i in witness:
-        prod *= classes[i].kernel
-    if prod <= 0 or isqrt(prod) ** 2 != prod:
+        prod *= discs[i]
+    # zero only for a single degenerate form, which has a zero mod every p
+    if prod < 0 or isqrt(prod) ** 2 != prod:
         raise AssertionError("covering witness product is not a perfect square")
+
+
+def _eliminate(
+    vectors: list[int],
+) -> tuple[dict[int, tuple[int, int]], list[int | None]]:
+    """Greedy F_2 elimination of bit vectors in input order.
+
+    Each vector is reduced against the pivots of the vectors before it.
+    Returns the pivots, {leading bit: (reduced vector, track)}, and per
+    input None if it became a pivot, else its track.  A track is a mask
+    over input indices whose vectors XOR to the reduced vector; a
+    dependent vector's track, itself included, XORs to zero.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    dependent: list[int | None] = []
+    for i, v in enumerate(vectors):
+        track = 1 << i
+        while v:
+            col = v.bit_length() - 1
+            if col not in pivots:
+                pivots[col] = (v, track)
+                break
+            pv, pt = pivots[col]
+            v ^= pv
+            track ^= pt
+        dependent.append(None if v else track)
+    return pivots, dependent
 
 
 _SMALL_PRIME_CACHE: list[int] = []
@@ -198,10 +253,9 @@ def _odd_primes_below(bound: int):
         yield from primes_in(10**4 + 1, bound)
 
 
-def _find_uncovered_prime(forms: list[QuadForm], bound: int) -> int | None:
+def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
     """Smallest odd prime below bound where every discriminant is a
     nonresidue; such a prime divides no a_i and no disc_i."""
-    discs = [form_discriminant(q) for q in forms]
     for p in _odd_primes_below(bound):
         if all(jacobi(d, p) == -1 for d in discs):
             return p
@@ -213,55 +267,45 @@ def decide_cover(
 ) -> CoverVerdict:
     """Decide whether the forms jointly cover all sufficiently large primes.
 
-    Covers verdicts carry an odd witness subset whose kernel product is a
-    perfect square, checked here by exact arithmetic.  FailsToCover
-    verdicts carry the exact uncovered density 2**-rank, the character
-    assignment every uncovered prime realizes, and the smallest example
-    prime below the search bound (None if the bound is too small).
+    Covers verdicts carry an odd witness subset whose discriminant
+    product is a perfect square, checked here by exact arithmetic.
+    FailsToCover verdicts carry the exact uncovered density 2**-rank, one
+    character assignment realized by a positive density of uncovered
+    primes, and the smallest example prime below the search bound (None
+    if the bound is too small).
     """
     classes, basis = build_square_classes(forms)
+    discs = [form_discriminant(q) for q in forms]
     for i, cl in enumerate(classes):
         if cl.is_trivial:
             # square (or zero) discriminant: a zero exists mod every prime
             # outside finitely many, including a = 0 degenerations
             witness = (i,)
-            _verify_covers_witness(classes, witness)
+            _verify_covers_witness(discs, witness)
             return Covers(witness)
 
-    # Solve <u, v_i> = 1 over F_2; inconsistency names a covering subset.
-    pivots: dict[int, tuple[int, int, int]] = {}
-    for i, cl in enumerate(classes):
-        bits, rhs, track = cl.bits, 1, 1 << i
-        while bits:
-            col = bits.bit_length() - 1
-            if col not in pivots:
-                pivots[col] = (bits, rhs, track)
-                break
-            pb, pr, pt = pivots[col]
-            bits ^= pb
-            rhs ^= pr
-            track ^= pt
-        else:
-            if rhs == 1:
-                witness = tuple(
-                    j for j in range(len(classes)) if (track >> j) & 1
-                )
-                _verify_covers_witness(classes, witness)
-                return Covers(witness)
-            # rhs == 0: dependent row, still consistent
+    # Solve <u, v_i> = 1 over F_2.  A row's right-hand side is the parity
+    # of its track, so a dependent row with an odd track names a covering
+    # subset.
+    pivots, dependent = _eliminate([cl.bits for cl in classes])
+    for track in dependent:
+        if track is not None and track.bit_count() % 2:
+            witness = tuple(j for j in range(len(classes)) if (track >> j) & 1)
+            _verify_covers_witness(discs, witness)
+            return Covers(witness)
 
     rank = len(pivots)
     u = 0
     for col in sorted(pivots):
-        bits, rhs, _ = pivots[col]
+        bits, track = pivots[col]
         rest = bits & ~(1 << col)
-        if rhs ^ ((rest & u).bit_count() & 1):
+        if (track.bit_count() + (rest & u).bit_count()) % 2:
             u |= 1 << col
     signs = tuple(-1 if (u >> j) & 1 else 1 for j in range(len(basis)))
     witness_class = FrobeniusClass(basis, signs)
     for cl in classes:
         assert witness_class.value_on_bits(cl.bits) == -1
-    example = _find_uncovered_prime(forms, example_prime_bound)
+    example = _find_uncovered_prime(discs, example_prime_bound)
     return FailsToCover(Fraction(1, 2**rank), rank, witness_class, example)
 
 
@@ -274,78 +318,66 @@ class RootDistribution:
     rank: int
 
 
-def _popcount_parity(values: np.ndarray, mask: int) -> np.ndarray:
-    v = (values & np.uint32(mask)).view(np.uint8).reshape(values.size, 4)
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-    return (table[v].sum(axis=1) & 1).astype(bool)
+def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients (leading first) divided by their content, leading one positive."""
+    g = gcd(*coeffs)
+    if coeffs[0] < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
 
 
 def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
     """Distribution of the number of distinct roots of prod_i (a_i t^2 + b_i t + c_i)
     mod p over the Frobenius classes, each class carrying density 2**-rank.
 
-    Forms with a nontrivial square class contribute 2 roots on half of the
-    classes and 0 on the other half; degenerate factors contribute their
-    fixed distinct-root count.  Quadratic factors are assumed pairwise
-    coprime, so contributions add.
+    Each distinct irreducible factor over Q counts once.  A linear factor
+    (from a = 0, or from a square discriminant) has one root at every good
+    prime; an irreducible quadratic has 2 roots on half of the classes and
+    0 on the other half.
     """
     classes, _basis = build_square_classes(forms)
-    base = 0
-    vectors = []
+    linear: set[tuple[int, ...]] = set()
+    quadratic: dict[tuple[int, ...], int] = {}
     for q, cl in zip(forms, classes):
         if q.a == 0:
-            base += 1 if q.b != 0 else 0  # linear factor; constants add nothing
-        elif form_discriminant(q) == 0:
-            base += 1  # double root collapses to one distinct root
+            if q.b != 0:  # constants add nothing
+                linear.add(_primitive((q.b, q.c)))
         elif cl.is_trivial:
-            base += 2  # square discriminant splits at every good prime
+            s = isqrt(form_discriminant(q))  # roots (-b -+ s) / 2a
+            linear.add(_primitive((2 * q.a, q.b + s)))
+            linear.add(_primitive((2 * q.a, q.b - s)))
         else:
-            vectors.append(cl.bits)
+            quadratic[_primitive((q.a, q.b, q.c))] = cl.bits
 
-    # Reduced echelon basis of the span, to coordinates per vector.
-    rows: list[int] = []
-    for v in vectors:
-        for row in rows:
-            if v & (1 << (row.bit_length() - 1)):
-                v ^= row
-        if v:
-            rows = [r ^ v if r & (1 << (v.bit_length() - 1)) else r for r in rows]
-            rows.append(v)
-            rows.sort(key=lambda r: r.bit_length(), reverse=True)
-    rank = len(rows)
+    # Coordinates of each class over the pivot vectors (input order).
+    _, dependent = _eliminate(list(quadratic.values()))
+    position: dict[int, int] = {}
+    coords = []
+    for i, track in enumerate(dependent):
+        if track is None:
+            position[i] = len(position)
+            coords.append(1 << position[i])
+        else:
+            coords.append(sum(1 << k for j, k in position.items() if (track >> j) & 1))
+    rank = len(position)
     if rank > MAX_ENUMERATION_RANK:
         raise ValueError(f"square-class rank {rank} exceeds {MAX_ENUMERATION_RANK}")
-    pivot_cols = [row.bit_length() - 1 for row in rows]
-    coords = []
-    for v in vectors:
-        w = 0
-        tmp = v
-        for j, row in enumerate(rows):
-            if tmp & (1 << pivot_cols[j]):
-                w |= 1 << j
-                tmp ^= row
-        assert tmp == 0
-        coords.append(w)
 
+    # odd[psi] counts the classes on which the character psi is -1; the
+    # parity of <psi, w> over all psi doubles once per bit of psi.
+    odd = np.zeros(1 << rank, dtype=np.min_scalar_type(len(coords)))
+    for w in coords:
+        par = np.zeros(1, dtype=np.uint8)
+        for j in range(rank):
+            par = np.concatenate((par, par ^ ((w >> j) & 1)))
+        odd += par
     total_classes = 1 << rank
-    counts: Counter[int] = Counter()
-    if rank <= 14:
-        for psi in range(total_classes):
-            roots = base
-            for w in coords:
-                if (psi & w).bit_count() % 2 == 0:
-                    roots += 2
-            counts[roots] += 1
-    else:
-        psis = np.arange(total_classes, dtype=np.uint32)
-        totals = np.full(total_classes, base, dtype=np.int64)
-        for w in coords:
-            totals += np.where(_popcount_parity(psis, w), 0, 2)
-        for roots, cnt in zip(*np.unique(totals, return_counts=True)):
-            counts[int(roots)] = int(cnt)
-
-    densities = {k: Fraction(v, total_classes) for k, v in sorted(counts.items())}
-    return RootDistribution(densities, min(counts), rank)
+    densities = {
+        len(linear) + 2 * (len(coords) - k): Fraction(int(cnt), total_classes)
+        for k, cnt in reversed(list(enumerate(np.bincount(odd))))
+        if cnt
+    }
+    return RootDistribution(densities, min(densities), rank)
 
 
 def product_polynomial(forms: list[QuadForm]) -> IntPoly:

@@ -1,7 +1,7 @@
 """Deterministic JSON / TSV / text rendering of analysis results.
 
 JSON output is canonical: keys sorted, compact separators, schema tag
-"v1", exact rationals carried as num/den plus a fixed 6-place decimal.
+"v2", exact rationals carried as num/den plus a fixed 6-place decimal.
 Identical inputs therefore serialize to identical bytes.
 """
 
@@ -21,7 +21,7 @@ from .quadcover import (
 from .scanner import DensityComparison, RealRootCheck, ScanReport
 from .sturm import Interval
 
-SCHEMA = "v1"
+SCHEMA = "v2"
 
 
 def dumps(obj) -> str:
@@ -192,7 +192,9 @@ def intervals_text(f: IntPoly, intervals: list[Interval]) -> str:
     return "\n".join(lines)
 
 
-def real_root_check_json(check: RealRootCheck) -> dict:
+def real_root_check_json(
+    check: RealRootCheck, comparison: DensityComparison | None = None
+) -> dict:
     return {
         "schema": SCHEMA,
         "mode": check.mode,
@@ -200,7 +202,27 @@ def real_root_check_json(check: RealRootCheck) -> dict:
         "real_root_count": check.real_root_count,
         "exact_min_roots": check.exact_min_roots,
         "verdict": check.verdict,
+        "density_table": None if comparison is None else density_rows_json(comparison),
+        "max_abs_deviation": (
+            None if comparison is None else decimal6(comparison.max_abs_deviation)
+        ),
     }
+
+
+def real_root_check_text(
+    check: RealRootCheck, comparison: DensityComparison | None = None
+) -> str:
+    lines = [f"mode: {check.mode}"]
+    if check.mode == "exact":
+        lines.append(f"exact minimum roots over classes: {check.exact_min_roots}")
+    lines += [
+        f"minimum roots observed: {check.min_roots_observed}",
+        f"distinct real roots: {check.real_root_count}",
+        f"verdict: {check.verdict}",
+    ]
+    if comparison is not None:
+        lines.append(density_comparison_text(comparison))
+    return "\n".join(lines)
 
 
 def density_rows_json(comparison: DensityComparison) -> list[dict]:

@@ -256,6 +256,21 @@ class DensityComparison:
 MIN_DENSITY_RANGE_END = 10**5
 
 
+def density_comparison(dist: RootDistribution, report: ScanReport) -> DensityComparison:
+    """Exact Frobenius-class densities next to the frequencies of a scan."""
+    good = report.good_prime_count
+    keys = sorted(set(dist.densities) | set(report.histogram))
+    rows = []
+    worst = Fraction(0)
+    for k in keys:
+        exact = dist.densities.get(k, Fraction(0))
+        empirical = Fraction(report.histogram.get(k, 0), good) if good else Fraction(0)
+        dev = abs(exact - empirical)
+        worst = max(worst, dev)
+        rows.append(DensityRow(k, exact, empirical, dev))
+    return DensityComparison(rows, worst)
+
+
 def compare_densities(
     forms: list[QuadForm], rng: PrimeRange, workers: int | None = None
 ) -> tuple[DensityComparison, ScanReport, RootDistribution]:
@@ -268,16 +283,5 @@ def compare_densities(
             f"density comparison needs the range to reach {MIN_DENSITY_RANGE_END}"
         )
     dist = exact_root_distribution(forms)
-    f = product_polynomial(forms)
-    report = scan(f, rng, workers=workers)
-    good = report.good_prime_count
-    keys = sorted(set(dist.densities) | set(report.histogram))
-    rows = []
-    worst = Fraction(0)
-    for k in keys:
-        exact = dist.densities.get(k, Fraction(0))
-        empirical = Fraction(report.histogram.get(k, 0), good) if good else Fraction(0)
-        dev = abs(exact - empirical)
-        worst = max(worst, dev)
-        rows.append(DensityRow(k, exact, empirical, dev))
-    return DensityComparison(rows, worst), report, dist
+    report = scan(product_polynomial(forms), rng, workers=workers)
+    return density_comparison(dist, report), report, dist

@@ -12,7 +12,6 @@ from fractions import Fraction
 from intersective.intpoly import (
     IntPoly,
     discriminant,
-    squarefree_kernel,
     squarefree_part,
 )
 from intersective.modular import (
@@ -91,9 +90,7 @@ def test_criterion_3_covering_verdict_with_verified_witness():
         verdict = decide_cover(TRIPLE_FORMS)
         assert isinstance(verdict, Covers)
         assert len(verdict.witness) % 2 == 1
-        prod = 1
-        for i in verdict.witness:
-            prod *= squarefree_kernel(form_discriminant(TRIPLE_FORMS[i]))
+        prod = math.prod(form_discriminant(TRIPLE_FORMS[i]) for i in verdict.witness)
         root = math.isqrt(prod)
         assert prod > 0 and root * root == prod
         report = scan(TRIPLE_POLY, PrimeRange(2, 10**6))

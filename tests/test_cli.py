@@ -44,7 +44,7 @@ def horner(coeffs, x):
 
 def test_scan_json():
     obj = run_json("scan", "--poly", "[1,0,1]", "--to", "100")
-    assert obj["schema"] == "v1"
+    assert obj["schema"] == "v2"
     assert obj["polynomial"] == [1, 0, 1]
     assert obj["range"] == {"lo": 2, "hi": 100}
     assert obj["excluded_primes"] == [2]
@@ -109,6 +109,14 @@ def test_cover_json_fails():
     assert obj["density_log2_den"] == 2
     assert obj["witness_class"] == {"-1": -1, "2": 1}
     assert obj["example_prime"] == 7
+
+
+def test_cover_needs_no_factoring():
+    # disc = 4 * 1000003 * 1000033: both primes lie beyond 10^6
+    obj = run_json("cover", "--form", "1,0,-1000036000099")
+    assert obj["verdict"] == "fails_to_cover"
+    assert obj["density_log2_den"] == 1
+    assert obj["witness_class"] == {"-1": 1, "4000144000396": -1}
 
 
 def test_cover_text():
@@ -217,6 +225,22 @@ def test_density_json():
     }
     obj = run_json("density", "--form", "1,0,1", "--form", "1,0,2")
     assert obj["densities"]["0"] == {"num": 1, "den": 4, "decimal": "0.250000"}
+
+
+def test_shared_factors_count_once():
+    # x^2 - 1 and x^2 - x share the root 1: 3 distinct roots everywhere
+    obj = run_json(
+        "check", "--form", "1,0,-1", "--form", "1,-1,0", "--to", "1000"
+    )
+    assert obj["exact_min_roots"] == 3
+    assert obj["min_roots_observed"] == 3
+    assert obj["real_root_count"] == 3
+    assert obj["verdict"] == "consistent"
+    half = {"num": 1, "den": 2, "decimal": "0.500000"}
+    for second in ("1,0,1", "2,0,2"):
+        obj = run_json("density", "--form", "1,0,1", "--form", second)
+        assert obj["densities"] == {"0": half, "2": half}
+        assert obj["rank"] == 1
 
 
 def test_usage_errors_exit_2():

@@ -15,8 +15,6 @@ from intersective.intpoly import (
     poly_gcd,
     primitive_part,
     resultant,
-    squarefree_kernel,
-    squarefree_kernel_factors,
     squarefree_part,
     to_text,
 )
@@ -212,69 +210,6 @@ def test_poly_gcd_basics():
     assert poly_gcd(multiply(f, g), multiply(f, IntPoly([1, 1]))) == f
     assert poly_gcd(f, g) == ONE
     assert poly_gcd(ZERO, g) == g
-
-
-def test_squarefree_kernel_frozen_values():
-    assert squarefree_kernel(-4) == -1
-    assert squarefree_kernel(-108) == -3
-    assert squarefree_kernel(7) == 7
-    assert squarefree_kernel(1) == 1
-    assert squarefree_kernel(-1) == -1
-    assert squarefree_kernel(48) == 3
-    assert squarefree_kernel(360) == 10
-    with pytest.raises(ValueError):
-        squarefree_kernel(0)
-
-
-def naive_kernel(n: int) -> int:
-    m = abs(n)
-    k = 1
-    d = 2
-    while d * d <= m:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        if e % 2:
-            k *= d
-        d += 1
-    k *= m
-    return -k if n < 0 else k
-
-
-def test_squarefree_kernel_against_naive_factorization():
-    for n in range(1, 5000):
-        assert squarefree_kernel(n) == naive_kernel(n)
-        assert squarefree_kernel(-n) == -naive_kernel(n)
-
-
-def test_squarefree_kernel_square_multiplier_invariance():
-    multipliers = (2, 3, 5, 7, 10, 36, 97, 100)
-    for n in range(1, 10**4 + 1):
-        base = squarefree_kernel(n)
-        assert squarefree_kernel(-n) == -base
-        for m in multipliers:
-            assert squarefree_kernel(n * m * m) == base
-    rng = random.Random(55)
-    for _ in range(500):
-        n = rng.randint(1, 10**4) * rng.choice([1, -1])
-        m = rng.randint(1, 100)
-        assert squarefree_kernel(n * m * m) == squarefree_kernel(n)
-
-
-def test_squarefree_kernel_certified_cofactors():
-    p = 1000003  # prime just past the trial bound
-    q = 1000033
-    assert squarefree_kernel(p) == p
-    assert squarefree_kernel(p * p) == 1
-    assert squarefree_kernel(p**3) == p
-    assert squarefree_kernel(4 * p * p) == 1
-    assert squarefree_kernel(2 * p * p) == 2
-    kernel, factors = squarefree_kernel_factors(-8 * p)
-    assert kernel == -2 * p and factors == (2, p)
-    # a product of two distinct large primes cannot be certified
-    with pytest.raises(ValueError):
-        squarefree_kernel(p * q)
 
 
 def test_text_rendering():

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intersective.intpoly import squarefree_kernel
 from intersective.modular import jacobi
 from intersective.primes import primes_in
 from intersective.quadcover import (
@@ -22,6 +23,10 @@ from intersective.quadcover import (
 )
 
 TRIPLE = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
+
+
+def is_positive_square(n):
+    return n > 0 and math.isqrt(n) ** 2 == n
 
 
 def random_positive_definite(rng, a_max=20, b_max=20, c_extra=20):
@@ -99,7 +104,24 @@ def test_square_class_vector_reconstructs_kernel():
             assert prod == cl.kernel
             disc = form_discriminant(q)
             if disc != 0:
-                assert cl.kernel == squarefree_kernel(disc)
+                assert is_positive_square(disc * cl.kernel)
+
+
+def test_square_classes_use_a_coprime_base():
+    # disc -20: the base element is 20 itself, never factored into 4 * 5
+    classes, basis = build_square_classes([QuadForm(1, 0, 5)])
+    assert basis == (-1, 20)
+    assert classes[0].kernel == -20 and classes[0].bits == 0b11
+    # discs 12 = 2^2 3, 24 = 2^3 3, -27: gcds split out the base {2, 3}
+    classes, basis = build_square_classes(
+        [QuadForm(1, 0, -3), QuadForm(1, 0, -6), QuadForm(1, 1, 7)]
+    )
+    assert basis == (-1, 2, 3)
+    assert [c.kernel for c in classes] == [3, 6, -3]
+    # 4 * 1000003 * 1000033: two primes beyond any trial-division bound
+    classes, basis = build_square_classes([QuadForm(1, 0, -1000036000099)])
+    assert basis == (-1, 4 * 1000036000099)
+    assert classes[0].bits == 0b10
 
 
 def test_trivial_class_for_square_discriminants():
@@ -169,12 +191,9 @@ def test_covers_witness_is_sound():
         if isinstance(verdict, Covers):
             covers_seen += 1
             assert len(verdict.witness) % 2 == 1
-            prod = 1
-            for i in verdict.witness:
-                disc = form_discriminant(forms[i])
-                prod *= squarefree_kernel(disc) if disc else 1
-            root = math.isqrt(prod)
-            assert root * root == prod
+            prod = math.prod(form_discriminant(forms[i]) for i in verdict.witness)
+            # zero only for one degenerate form, which has a zero mod every p
+            assert is_positive_square(prod) or (prod == 0 and len(verdict.witness) == 1)
         else:
             # verdict must agree with a direct small-prime probe
             p = verdict.example_prime
@@ -267,6 +286,23 @@ def test_distribution_properties():
             assert dist.densities[0] == verdict.density
 
 
+def test_distribution_counts_shared_factors_once():
+    # x^2 - 1 and x^2 - x share the root 1: three distinct linear factors
+    dist = exact_root_distribution([QuadForm(1, 0, -1), QuadForm(1, -1, 0)])
+    assert dist.densities == {3: Fraction(1)}
+    assert dist.min_roots == 3
+    # a repeated irreducible quadratic, equal or proportional, counts once
+    for forms in ([QuadForm(1, 0, 1), QuadForm(1, 0, 1)],
+                  [QuadForm(1, 0, 1), QuadForm(2, 0, 2)],
+                  [QuadForm(1, 0, 1), QuadForm(-3, 0, -3)]):
+        dist = exact_root_distribution(forms)
+        assert dist.densities == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert dist.rank == 1
+    # a double root and a linear factor with the same root
+    dist = exact_root_distribution([QuadForm(1, -2, 1), QuadForm(0, 3, -3)])
+    assert dist.densities == {1: Fraction(1)}
+
+
 def test_distribution_rank_guard():
     small_primes = list(primes_in(2, 200))
     forms = [QuadForm(1, 0, -p) for p in small_primes[:25]]  # disc 4p, kernel p
@@ -290,3 +326,127 @@ def test_product_polynomial():
     assert f.coeffs == (-4, 0, -4, 0, 1, 0, 1)
     g = product_polynomial([QuadForm(2, 3, 1)])
     assert g.coeffs == (1, 3, 2)
+
+
+# Small coefficients make shared factors and square discriminants common;
+# x^2 - k y^2 with k from a few square classes makes odd covering subsets
+# of size three or more common.
+FORMS = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(-12, 12), st.integers(-60, 60))
+    .filter(any)
+    .map(lambda t: QuadForm(*t)),
+    st.sampled_from((-1, 2, -2, 3, -3, 6, -6, 5, -5, 10, 15, -30))
+    .map(lambda k: QuadForm(1, 0, -k)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms=st.lists(FORMS, min_size=1, max_size=5))
+def test_decide_cover_matches_exhaustive_covering(forms):
+    # an odd prime is uncovered iff no form has a nontrivial zero mod it:
+    # Covers must leave none, FailsToCover must name the smallest
+    bound = 300
+    verdict = decide_cover(forms, example_prime_bound=bound)
+    uncovered = next(
+        (p for p in primes_in(3, bound)
+         if not any(form_covers_p_exhaustive(q, p) for q in forms)),
+        None,
+    )
+    if isinstance(verdict, Covers):
+        assert uncovered is None
+    else:
+        assert verdict.example_prime == uncovered
+
+
+def naive_kernel_primes(n):
+    """Primes dividing n != 0 to an odd power, by trial division."""
+    m, out, d = abs(n), [], 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e % 2:
+            out.append(d)
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def f2_rank(vectors):
+    rows = []
+    for v in vectors:
+        for r in rows:
+            v = min(v, v ^ r)
+        if v:
+            rows.append(v)
+            rows.sort(reverse=True)
+    return len(rows)
+
+
+def prime_basis_oracle(forms):
+    """Rank, covering witness and root-count densities from the square
+    classes over the primes, all by brute force."""
+    discs = [form_discriminant(q) for q in forms]
+    basis = [-1] + sorted({p for d in discs if d for p in naive_kernel_primes(d)})
+    vecs = []
+    for d in discs:
+        v = int(d < 0)
+        for p in naive_kernel_primes(d) if d else ():
+            v |= 1 << basis.index(p)
+        vecs.append(v)
+
+    witness = next(((i,) for i, v in enumerate(vecs) if v == 0), None)
+    pivots = []
+    for i, v in enumerate(vecs):
+        if witness is not None:
+            break
+        if f2_rank([vecs[j] for j in pivots] + [v]) > len(pivots):
+            pivots.append(i)
+            continue
+        for mask in range(1 << len(pivots)):
+            subset = [pivots[k] for k in range(len(pivots)) if (mask >> k) & 1]
+            acc = 0
+            for j in subset:
+                acc ^= vecs[j]
+            if acc == v and len(subset) % 2 == 0:
+                witness = tuple(subset + [i])
+
+    roots = set()
+    quadratics = {}
+    for q, d, v in zip(forms, discs, vecs):
+        if q.a == 0:
+            if q.b:
+                roots.add(Fraction(-q.c, q.b))
+        elif d >= 0 and math.isqrt(d) ** 2 == d:
+            s = math.isqrt(d)
+            roots |= {Fraction(-q.b + s, 2 * q.a), Fraction(-q.b - s, 2 * q.a)}
+        else:
+            quadratics[(Fraction(q.b, q.a), Fraction(q.c, q.a))] = v
+    counts = {}
+    for signs in range(1 << len(basis)):
+        k = len(roots) + 2 * sum(
+            1 for v in quadratics.values() if (signs & v).bit_count() % 2 == 0
+        )
+        counts[k] = counts.get(k, 0) + 1
+    densities = {k: Fraction(c, 1 << len(basis)) for k, c in sorted(counts.items())}
+    return f2_rank(vecs), witness, densities
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms=st.lists(FORMS, min_size=1, max_size=6))
+def test_coprime_base_classes_match_prime_factorization(forms):
+    rank, witness, densities = prime_basis_oracle(forms)
+    verdict = decide_cover(forms, example_prime_bound=10**3)
+    if witness is None:
+        assert isinstance(verdict, FailsToCover) and verdict.rank == rank
+    else:
+        assert isinstance(verdict, Covers) and verdict.witness == witness
+    dist = exact_root_distribution(forms)
+    assert dist.rank == rank
+    assert dist.densities == densities
+    _, basis = build_square_classes(forms)
+    for i, b in enumerate(basis[1:]):
+        assert not is_positive_square(b)
+        assert all(math.gcd(b, c) == 1 for c in basis[i + 2:])
