@@ -23,13 +23,15 @@ from typing import Union
 import numpy as np
 
 from .intpoly import IntPoly, multiply
-from .modular import jacobi
-from .primes import primes_in
+from .modular import _batch_powmod, jacobi
+from .primes import iter_prime_arrays
 
 EXAMPLE_PRIME_BOUND = 10**6
 
 # 2**rank outcomes are enumerated explicitly; refuse beyond this.
 MAX_ENUMERATION_RANK = 24
+# ... and counted in slices of this many, bounding bincount's int64 copy.
+_COUNT_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -239,26 +241,36 @@ def _eliminate(
     return pivots, dependent
 
 
-_SMALL_PRIME_CACHE: list[int] = []
-
-
-def _odd_primes_below(bound: int):
-    if not _SMALL_PRIME_CACHE:
-        _SMALL_PRIME_CACHE.extend(primes_in(3, 10**4))
-    for p in _SMALL_PRIME_CACHE:
-        if p > bound:
-            return
-        yield p
-    if bound > 10**4:
-        yield from primes_in(10**4 + 1, bound)
+def _residues(d: int, p: np.ndarray) -> np.ndarray:
+    """d mod p for each prime p < 2**31, exactly for any integer d:
+    Horner over the 30-bit limbs of |d|, every step below 2**62."""
+    m = abs(d)
+    r = np.zeros_like(p)
+    for shift in range(30 * ((m.bit_length() - 1) // 30), -1, -30):
+        r = ((r << 30) + ((m >> shift) & 0x3FFFFFFF)) % p
+    return (-r) % p if d < 0 else r
 
 
 def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
-    """Smallest odd prime below bound where every discriminant is a
-    nonresidue; such a prime divides no a_i and no disc_i."""
-    for p in _odd_primes_below(bound):
-        if all(jacobi(d, p) == -1 for d in discs):
-            return p
+    """Smallest odd prime up to bound where every discriminant is a
+    nonresidue; such a prime divides no a_i and no disc_i.
+
+    Euler's criterion d^((p-1)/2) = -1 mod p runs over arrays of primes,
+    one discriminant at a time on the primes still in play.  The windows
+    of primes grow by 16x, so an early example costs one small window.
+    """
+    if bound >= 1 << 31:
+        raise ValueError("example prime bound must be below 2**31")
+    lo, hi = 3, 1 << 10
+    while lo <= bound:
+        for p in iter_prime_arrays(lo, min(hi, bound)):
+            for d in discs:
+                if not p.size:
+                    break
+                p = p[_batch_powmod(_residues(d, p), p >> 1, p) == p - 1]
+            if p.size:
+                return int(p[0])
+        lo, hi = hi + 1, hi << 4
     return None
 
 
@@ -371,10 +383,13 @@ def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
         for j in range(rank):
             par = np.concatenate((par, par ^ ((w >> j) & 1)))
         odd += par
+    counts = np.zeros(len(coords) + 1, dtype=np.int64)
+    for start in range(0, odd.size, _COUNT_SLICE):
+        counts += np.bincount(odd[start:start + _COUNT_SLICE], minlength=counts.size)
     total_classes = 1 << rank
     densities = {
         len(linear) + 2 * (len(coords) - k): Fraction(int(cnt), total_classes)
-        for k, cnt in reversed(list(enumerate(np.bincount(odd))))
+        for k, cnt in reversed(list(enumerate(counts)))
         if cnt
     }
     return RootDistribution(densities, min(densities), rank)

@@ -158,7 +158,9 @@ def cover_verdict_text(verdict: CoverVerdict, forms: list[QuadForm]) -> str:
         cls = " ".join(
             f"({e}|p)={s:+d}" for e, s in verdict.witness_class.as_dict().items()
         )
-        lines.append(f"uncovered primes realize: {cls}")
+        lines.append(
+            f"one assignment realized by a positive density of uncovered primes: {cls}"
+        )
         if verdict.example_prime is not None:
             lines.append(f"example uncovered prime: {verdict.example_prime}")
         else:

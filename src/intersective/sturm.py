@@ -3,6 +3,13 @@
 All arithmetic is over Z and Q.  Chains are built from the squarefree part,
 remainders are integer pseudo-remainders negated under a positive scalar
 multiplier, so every sign evaluation agrees with the rational chain.
+
+Isolating intervals come from bisection with Sturm counts.  Each is then
+narrowed by quadratic interval refinement (Abbott, "Quadratic interval
+refinement for real roots", 2014; Kerber and Sagraloff, ISSAC 2011): a
+secant guess picks a sub-cell of the interval's dyadic grid and two exact
+sign checks certify it, so 2^-K takes O(log K) certified steps instead of
+K bisections.  The result is exactly the cell bisection would end in.
 """
 
 from __future__ import annotations
@@ -103,13 +110,22 @@ def _root_bound(f: IntPoly) -> int:
     return 1 + (biggest + lead - 1) // lead
 
 
+def _halvings(width: Fraction, min_width: Fraction) -> int:
+    """Least m >= 0 with width / 2**m <= min_width."""
+    ratio = width / min_width
+    return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+
+
 def isolate_real_roots(
     f: IntPoly, min_width: Fraction = DEFAULT_MIN_WIDTH
 ) -> list[Interval]:
     """Disjoint open rational intervals, one around each real root.
 
-    Intervals are bisected down to width <= min_width and each one carries
-    a sign change of the squarefree part across its endpoints.
+    Sturm sequences isolate the roots by bisection of (-B, B); each
+    isolating interval is then refined by quadratic interval refinement
+    (see _refine) to the cell of width <= min_width that bisection would
+    reach, every step certified by exact sign checks.  Each interval
+    carries a sign change of the squarefree part across its endpoints.
     """
     if min_width <= 0:
         raise ValueError("min_width must be positive")
@@ -129,6 +145,20 @@ def isolate_real_roots(
     def sign(x: Fraction) -> int:
         return _sign_at(fstar, x)
 
+    def sliver(mid: Fraction, w: Fraction) -> Interval:
+        """(mid - w/2**j, mid + w/2**j) for the least j at which it
+        isolates the root mid and is at most min_width wide.  Once it
+        isolates mid it does so for every larger j, so the width part
+        needs no sign checks."""
+        while (
+            sign(mid - w) == 0
+            or sign(mid + w) == 0
+            or var(mid - w) - var(mid + w) != 1
+        ):
+            w /= 2
+        w /= 2 ** _halvings(2 * w, min_width)
+        return Interval(mid - w, mid + w)
+
     bound = Fraction(_root_bound(fstar))
     found: list[Interval] = []
     stack = [(-bound, bound)]
@@ -138,7 +168,7 @@ def isolate_real_roots(
         if n == 0:
             continue
         if n == 1:
-            found.append(_refine(fstar, sign, lo, hi, min_width))
+            found.append(_refine(fstar, lo, hi, min_width, sliver))
             continue
         mid = (lo + hi) / 2
         if sign(mid) != 0:
@@ -146,17 +176,10 @@ def isolate_real_roots(
             stack.append((mid, hi))
             continue
         # mid is itself a root: carve out a verified sliver around it
-        w = (hi - lo) / 4
-        while (
-            sign(mid - w) == 0
-            or sign(mid + w) == 0
-            or var(mid - w) - var(mid + w) != 1
-            or 2 * w > min_width
-        ):
-            w /= 2
-        found.append(Interval(mid - w, mid + w))
-        stack.append((lo, mid - w))
-        stack.append((mid + w, hi))
+        iv = sliver(mid, (hi - lo) / 4)
+        found.append(iv)
+        stack.append((lo, iv.lo))
+        stack.append((iv.hi, hi))
     found.sort(key=lambda iv: iv.lo)
     assert len(found) == total
     for iv in found:
@@ -164,26 +187,87 @@ def isolate_real_roots(
     return found
 
 
+def _value_at(rev: tuple[int, ...], x: int, sh: int) -> int:
+    """2**(sh*d) * f(x / 2**sh), with rev the d + 1 coefficients of f
+    leading first: integer Horner on the homogenised form."""
+    acc = 0
+    for k, c in enumerate(rev):
+        acc = acc * x + (c << sh * k)
+    return acc
+
+
 def _refine(
     fstar: IntPoly,
-    sign,
     lo: Fraction,
     hi: Fraction,
     min_width: Fraction,
+    sliver,
 ) -> Interval:
-    """Shrink an interval holding exactly one simple root."""
-    s_lo = sign(lo)
-    while hi - lo > min_width:
-        mid = (lo + hi) / 2
-        s_mid = sign(mid)
-        if s_mid == 0:
-            # exact rational root at a bisection point
-            w = (hi - lo) / 4
-            while sign(mid - w) == 0 or sign(mid + w) == 0 or 2 * w > min_width:
-                w /= 2
-            return Interval(mid - w, mid + w)
-        if s_mid == s_lo:
-            lo = mid
+    """Shrink an interval holding exactly one simple root.
+
+    Level L of the dyadic grid of (lo, hi) has cells of width W / 2**L,
+    W = hi - lo.  The result is the level-m cell holding the root, m
+    the first level with W / 2**m <= min_width, which is where bisection
+    ends; a root on the grid gets bisection's sliver instead.  Quadratic
+    interval refinement (Abbott 2014) gets there in O(log m) steps: the
+    secant through the current cell's end values picks one of its 2**s
+    sub-cells, two exact signs at its ends certify it, and s doubles on
+    success and halves on failure (s = 1 is a bisection step).  lo and
+    hi are dyadic, so every grid point is an integer over a power of 2.
+    """
+    m = _halvings(hi - lo, min_width)
+    if m == 0:
+        return Interval(lo, hi)
+    den = max(lo.denominator, hi.denominator)
+    assert den & (den - 1) == 0, "isolating intervals have dyadic endpoints"
+    e = den.bit_length() - 1
+    x0 = lo.numerator * (den // lo.denominator)
+    y = hi.numerator * (den // hi.denominator) - x0
+    rev = fstar.coeffs[::-1]
+    d = fstar.degree
+
+    def point(level: int, idx: int) -> int:
+        return (x0 << level) + idx * y
+
+    def grid_root(level: int, idx: int) -> Interval:
+        # the root is a point of the grid at level `at` = level - v2(idx);
+        # bisection meets it as the midpoint of a cell at level at - 1,
+        # and starts the sliver at that cell's width / 4
+        at = level - ((idx & -idx).bit_length() - 1)
+        mid = Fraction(point(level, idx), 1 << (e + level))
+        return sliver(mid, (hi - lo) / 2 ** (at + 1))
+
+    level, k, s = 0, 0, 1  # the cell [k, k + 1] of the grid at `level`
+    fa, fb = _value_at(rev, x0, e), _value_at(rev, x0 + y, e)
+    while level < m:
+        s = min(s, m - level)
+        n = 1 << s
+        fine = level + s
+        base = k << s
+        # the secant root, rounded to one of the n - 1 inner points
+        num, gap = n * fa, fa - fb
+        if gap < 0:
+            num, gap = -num, -gap
+        j = min(max((2 * num + gap) // (2 * gap), 1), n - 1)
+        vj = _value_at(rev, point(fine, base + j), e + fine)
+        if vj == 0:
+            return grid_root(fine, base + j)
+        right = (vj > 0) == (fa > 0)  # the root lies right of point j
+        i = j + 1 if right else j - 1
+        if i == n:
+            vi = fb << s * d
+        elif i == 0:
+            vi = fa << s * d
         else:
-            hi = mid
-    return Interval(lo, hi)
+            vi = _value_at(rev, point(fine, base + i), e + fine)
+            if vi == 0:
+                return grid_root(fine, base + i)
+        if (vi > 0) != (vj > 0):
+            level, k, s = fine, base + min(i, j), 2 * s
+            fa, fb = (vj, vi) if right else (vi, vj)
+        else:
+            s = max(s // 2, 1)
+    return Interval(
+        Fraction(point(level, k), 1 << (e + level)),
+        Fraction(point(level, k + 1), 1 << (e + level)),
+    )

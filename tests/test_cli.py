@@ -129,6 +129,11 @@ def test_cover_text():
     out, _ = run_cli("cover", "--form", "1,0,1", "--format", "text")
     assert "verdict: fails to cover" in out
     assert "uncovered density: 1/2^1 = 0.500000" in out
+    assert (
+        "one assignment realized by a positive density of uncovered primes:"
+        " (-1|p)=-1" in out
+    )
+    assert "uncovered primes realize" not in out
     assert "example uncovered prime: 3" in out
 
 

@@ -21,6 +21,7 @@ from intersective.quadcover import (
     is_positive_definite,
     product_polynomial,
 )
+from intersective.quadcover import _find_uncovered_prime
 
 TRIPLE = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
 
@@ -321,6 +322,16 @@ def test_distribution_wide_rank_uses_vector_path():
     assert dist.densities[16] == Fraction(math.comb(16, 8), 2**16)
 
 
+def test_distribution_counts_across_slices():
+    # 2**18 classes span several counting slices
+    forms = [QuadForm(1, 0, -p) for p in list(primes_in(2, 200))[:18]]
+    dist = exact_root_distribution(forms)
+    assert dist.rank == 18
+    assert dist.densities == {
+        2 * k: Fraction(math.comb(18, k), 2**18) for k in range(19)
+    }
+
+
 def test_product_polynomial():
     f = product_polynomial(TRIPLE)
     assert f.coeffs == (-4, 0, -4, 0, 1, 0, 1)
@@ -450,3 +461,44 @@ def test_coprime_base_classes_match_prime_factorization(forms):
     for i, b in enumerate(basis[1:]):
         assert not is_positive_square(b)
         assert all(math.gcd(b, c) == 1 for c in basis[i + 2:])
+
+
+def scalar_uncovered_prime(discs, bound):
+    for p in primes_in(3, bound) if bound >= 3 else ():
+        if all(jacobi(d, p) == -1 for d in discs):
+            return p
+    return None
+
+
+# discriminants beyond int64 come from coefficients up to 10**12
+BIG_FORMS = st.tuples(
+    st.integers(-(10**12), 10**12),
+    st.integers(-(10**12), 10**12),
+    st.integers(-(10**12), 10**12),
+).filter(any).map(lambda t: QuadForm(*t))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    forms=st.lists(st.one_of(FORMS, BIG_FORMS), min_size=1, max_size=6),
+    bound=st.sampled_from((0, 2, 3, 50, 2000, 30000)),
+)
+def test_example_prime_matches_scalar_search(forms, bound):
+    discs = [form_discriminant(q) for q in forms]
+    assert _find_uncovered_prime(discs, bound) == scalar_uncovered_prime(discs, bound)
+
+
+def test_example_prime_search_windows():
+    # examples beyond the first windows, and a covering set with none
+    odd = list(primes_in(3, 100))
+    for n, example in ((6, 1217), (12, 74093), (14, 360293)):
+        discs = [-4 * p for p in odd[:n]]
+        assert _find_uncovered_prime(discs, 10**6) == example
+        assert _find_uncovered_prime(discs, example - 1) is None
+    discs = [form_discriminant(q) for q in TRIPLE]
+    assert _find_uncovered_prime(discs, 10**6) is None
+    assert _find_uncovered_prime([2**70 + 1, -(3**50)], 10**4) == (
+        scalar_uncovered_prime([2**70 + 1, -(3**50)], 10**4)
+    )
+    with pytest.raises(ValueError):
+        _find_uncovered_prime(discs, 2**31)

@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intersective import sturm
 from intersective.intpoly import (
     IntPoly,
     discriminant,
@@ -192,3 +196,171 @@ def test_count_large_coefficient_polynomial():
     lo, hi = isolate_real_roots(f, Fraction(1, 2))
     assert hi.lo < Fraction(10**15) < hi.hi
     assert evaluate(f, 10**15) == 0
+
+
+def sign_at(f: IntPoly, x: Fraction) -> int:
+    v = frac_eval(f, x)
+    return (v > 0) - (v < 0)
+
+
+def bisection_isolate(f: IntPoly, min_width: Fraction) -> list[Interval]:
+    """Oracle: Sturm isolation with plain bisection refinement, one sign
+    check per bit, and the sliver loop halving one step at a time."""
+    chain = sturm_chain(f)
+    fstar = chain[0]
+
+    def var(x):
+        signs = [s for s in (sign_at(g, x) for g in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def sign(x):
+        return sign_at(fstar, x)
+
+    def refine(lo, hi):
+        s_lo = sign(lo)
+        while hi - lo > min_width:
+            mid = (lo + hi) / 2
+            s_mid = sign(mid)
+            if s_mid == 0:
+                w = (hi - lo) / 4
+                while sign(mid - w) == 0 or sign(mid + w) == 0 or 2 * w > min_width:
+                    w /= 2
+                return Interval(mid - w, mid + w)
+            if s_mid == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        return Interval(lo, hi)
+
+    bound = Fraction(sturm._root_bound(fstar))
+    found = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = var(lo) - var(hi)
+        if n == 0:
+            continue
+        if n == 1:
+            found.append(refine(lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if sign(mid) != 0:
+            stack += [(lo, mid), (mid, hi)]
+            continue
+        w = (hi - lo) / 4
+        while (
+            sign(mid - w) == 0
+            or sign(mid + w) == 0
+            or var(mid - w) - var(mid + w) != 1
+            or 2 * w > min_width
+        ):
+            w /= 2
+        found.append(Interval(mid - w, mid + w))
+        stack += [(lo, mid - w), (mid + w, hi)]
+    return sorted(found, key=lambda iv: iv.lo)
+
+
+# Linear factors q x - p; denominators 2, 4 and 8 put roots on the dyadic
+# grids of the isolating intervals.  Quadratics a x^2 + b x + c whose
+# discriminant is negative or a non-square are irreducible.
+LINEAR = st.tuples(st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 5, 8)))
+QUADRATIC = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(-30, 30)).filter(
+    lambda t: t[1] * t[1] - 4 * t[0] * t[2] < 0
+    or math.isqrt(t[1] * t[1] - 4 * t[0] * t[2]) ** 2 != t[1] * t[1] - 4 * t[0] * t[2]
+)
+
+
+def build(linear, quadratic) -> IntPoly:
+    f = IntPoly([1])
+    for p, q in linear:
+        f = multiply(f, IntPoly([-p, q]))
+    for a, b, c in quadratic:
+        f = multiply(f, IntPoly([c, b, a]))
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    linear=st.lists(LINEAR, max_size=4),
+    quadratic=st.lists(QUADRATIC, max_size=2),
+    k=st.integers(0, 300),
+)
+def test_isolation_matches_bisection_oracle(linear, quadratic, k):
+    f = build(linear, quadratic)
+    if f.degree < 1:
+        return
+    width = Fraction(1, 2**k)
+    assert isolate_real_roots(f, width) == bisection_isolate(f, width)
+
+
+def test_refinement_grid_roots_match_bisection():
+    # rational roots that refinement, not isolation, meets on the grid of
+    # their isolating interval: 1/2 in (-2, 2), 35/4 in (-10, 10), -27/4
+    # next to a complex pair, -1/4 next to 12 and 28/5
+    for linear, quadratic in (
+        ([(1, 2)], []),
+        ([(35, 4)], []),
+        ([(-27, 4)], [(5, 3, 5)]),
+        ([(-1, 4), (36, 3), (28, 5)], []),
+    ):
+        f = build(linear, quadratic)
+        for k in (0, 1, 5, 40, 200):
+            width = Fraction(1, 2**k)
+            assert isolate_real_roots(f, width) == bisection_isolate(f, width)
+
+
+def wilkinson(n: int) -> IntPoly:
+    return product_of_linear(range(1, n + 1))
+
+
+def test_wilkinson_refinement_sign_checks_are_logarithmic(monkeypatch):
+    calls = 0
+    value_at = sturm._value_at
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return value_at(*args)
+
+    monkeypatch.setattr(sturm, "_value_at", counted)
+    intervals = isolate_real_roots(wilkinson(20), Fraction(1, 2**1000))
+    assert [iv.lo < r < iv.hi for iv, r in zip(intervals, range(1, 21))] == [True] * 20
+    assert all(iv.width <= Fraction(1, 2**1000) for iv in intervals)
+    # bisection makes about 1000 sign checks per root here
+    assert 0 < calls <= 100 * 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(
+            st.integers(-30, 30), st.integers(1, 6), st.integers(1, 3)
+        ),  # p, q, multiplicity of q x - p
+        max_size=5,
+    ),
+    quadratic=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 20)), max_size=2),
+)
+def test_count_matches_sign_changes_at_rational_points(roots, quadratic):
+    # f has the rational roots p/q (with multiplicity) and a x^2 + c > 0
+    # factors; samples between and beyond the distinct roots see one sign
+    # change of the squarefree part per real root
+    f = IntPoly([1])
+    for p, q, mult in roots:
+        for _ in range(mult):
+            f = multiply(f, IntPoly([-p, q]))
+    for a, c in quadratic:
+        f = multiply(f, IntPoly([c, 0, a]))
+    if f.degree < 1:
+        return
+    distinct = sorted({Fraction(p, q) for p, q, _ in roots})
+    if distinct:
+        samples = [distinct[0] - 1]
+        samples += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+        samples.append(distinct[-1] + 1)
+    else:
+        samples = [Fraction(0)]
+    fs = squarefree_part(f)
+    signs = [sign_at(fs, x) for x in samples]
+    assert 0 not in signs
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    assert count_real_roots(f) == changes == len(distinct)
