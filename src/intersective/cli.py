@@ -5,6 +5,10 @@ JSON by default (--format json|tsv|text).  Exit codes: 0 on success
 (a fails-to-cover verdict is a success), 1 if stdout was closed before
 the output was written (as by `| head`), 2 on usage or input errors,
 3 if an internal cross-check fails.
+
+The scanner and the sieve are imported by the handlers that use them, so
+numpy loads only where a prime-array kernel runs: realroots, density and
+a covering cover start without it.
 """
 
 from __future__ import annotations
@@ -13,28 +17,25 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import reports
 from .parse import (
+    DEFAULT_SCAN_CAP,
+    HARD_SCAN_CAP,
+    MIN_DENSITY_RANGE_END,
     FormParseError,
+    InvariantViolation,
     PolyParseError,
     parse_form,
     parse_poly,
     read_forms_file,
 )
-from .primes import PrimeRange
 from .quadcover import QuadForm, decide_cover, exact_root_distribution
-from .scanner import (
-    DEFAULT_SCAN_CAP,
-    HARD_SCAN_CAP,
-    MIN_DENSITY_RANGE_END,
-    InvariantViolation,
-    check_real_roots,
-    check_real_roots_forms,
-    density_comparison,
-    scan,
-)
 from .sturm import isolate_real_roots
+
+if TYPE_CHECKING:
+    from .primes import PrimeRange
 
 
 class UsageError(ValueError):
@@ -110,6 +111,8 @@ def _collect_forms(args: argparse.Namespace) -> list[QuadForm]:
 
 
 def _make_range(args: argparse.Namespace) -> PrimeRange:
+    from .primes import PrimeRange
+
     cap = min(args.cap, HARD_SCAN_CAP)
     if args.hi > cap:
         raise UsageError(
@@ -139,6 +142,8 @@ def _emit(args: argparse.Namespace, json_obj, text: str, tsv: str | None = None)
 
 
 def _cmd_scan(args: argparse.Namespace) -> None:
+    from .scanner import scan
+
     f = _nonconstant_poly(args.poly)
     rng = _make_range(args)
     report = scan(f, rng, with_cycle_types=args.cycle_types)
@@ -173,6 +178,8 @@ def _cmd_realroots(args: argparse.Namespace) -> None:
 
 
 def _cmd_census(args: argparse.Namespace) -> None:
+    from .scanner import scan
+
     f = _nonconstant_poly(args.poly)
     rng = _make_range(args)
     report = scan(f, rng, with_cycle_types=True)
@@ -185,6 +192,8 @@ def _cmd_census(args: argparse.Namespace) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
+    from .scanner import check_real_roots, check_real_roots_forms, density_comparison
+
     has_poly = args.poly is not None
     has_forms = bool(args.form) or bool(args.forms_file)
     if has_poly == has_forms:

@@ -13,6 +13,10 @@ Moebius inversion over k = 1..deg f recovers the degrees.  The scalar
 distinct-degree factorization (no equal-degree splitting) is kept as its
 oracle.  census_block gives root counts and cycle types from one powering
 of x^p mod f.
+
+Exact residues of big integers mod prime arrays (_residues) serve the
+scanner's bad-prime filter and the batched Euler criterion of the
+example-prime search that a fails-to-cover verdict runs.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intpoly import IntPoly, discriminant, squarefree_part
+from .primes import iter_prime_arrays
 
 BRUTE_FORCE_MAX_P = 10**4
 
@@ -268,6 +273,41 @@ def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarra
         b = b * b % p
         e >>= 1
     return acc
+
+
+def _residues(d: int, p: np.ndarray) -> np.ndarray:
+    """d mod p for each prime p < 2**31, exactly for any integer d:
+    Horner over the 30-bit limbs of |d|, every step below 2**62."""
+    m = abs(d)
+    r = np.zeros_like(p)
+    for shift in range(30 * ((m.bit_length() - 1) // 30), -1, -30):
+        r <<= 30
+        r += (m >> shift) & 0x3FFFFFFF
+        r %= p
+    return (-r) % p if d < 0 else r
+
+
+def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
+    """Smallest odd prime up to bound where every discriminant is a
+    nonresidue; such a prime divides no a_i and no disc_i.
+
+    Euler's criterion d^((p-1)/2) = -1 mod p runs over arrays of primes,
+    one discriminant at a time on the primes still in play.  The windows
+    of primes grow by 16x, so an early example costs one small window.
+    """
+    if bound >= 1 << 31:
+        raise ValueError("example prime bound must be below 2**31")
+    lo, hi = 3, 1 << 10
+    while lo <= bound:
+        for p in iter_prime_arrays(lo, min(hi, bound)):
+            for d in discs:
+                if not p.size:
+                    break
+                p = p[_batch_powmod(_residues(d, p), p >> 1, p) == p - 1]
+            if p.size:
+                return int(p[0])
+        lo, hi = hi + 1, hi << 4
+    return None
 
 
 def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:

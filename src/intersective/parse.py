@@ -4,6 +4,10 @@ Polynomials come either as ascending coefficient lists like "[1,0,1]" or
 as expressions like "x^2+1" and "(x^2+1)(x^2+2)(x^2-2)".  Rational
 coefficients are accepted and cleared to a primitive integer polynomial.
 Forms are comma triples "a,b,c".
+
+The limits on scanned ranges and the error raised when an internal
+cross-check fails live here too, with the input errors: the command
+line needs them before it loads the numpy-backed scanner.
 """
 
 from __future__ import annotations
@@ -17,12 +21,22 @@ from .intpoly import IntPoly
 from .quadcover import QuadForm
 
 
+DEFAULT_SCAN_CAP = 10**6
+HARD_SCAN_CAP = 10**8
+# density comparisons need a scan reaching at least this far
+MIN_DENSITY_RANGE_END = 10**5
+
+
 class PolyParseError(ValueError):
     pass
 
 
 class FormParseError(ValueError):
     pass
+
+
+class InvariantViolation(RuntimeError):
+    """A cycle-type census disagreed with its root count at some prime."""
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xX])|(\*\*)|([()+\-*/^]))")

@@ -11,27 +11,27 @@ alone.  Those elements have independent quadratic characters, so every
 turns the covering question into exact F_2 linear algebra.  One greedy
 elimination serves both the covering decision and the root-count
 distribution.
+
+Everything here is integer code; numpy loads only when a fails-to-cover
+verdict searches the primes for an example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Union
 
-import numpy as np
-
 from .intpoly import IntPoly, multiply
-from .modular import _batch_powmod, jacobi
-from .primes import iter_prime_arrays
 
 EXAMPLE_PRIME_BOUND = 10**6
 
-# 2**rank outcomes are enumerated explicitly; refuse beyond this.
+# Distributions enumerate the 2**k words of the smaller of the class code
+# and its dual, k = min(rank, n - rank); refuse beyond this.
 MAX_ENUMERATION_RANK = 24
-# ... and counted in slices of this many, bounding bincount's int64 copy.
-_COUNT_SLICE = 1 << 16
+# ... bit-sliced 2**_SLICE_BITS words at a time, one bit per word in each int.
+_SLICE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,8 @@ def form_covers_p(q: QuadForm, p: int) -> bool:
     """
     if p == 2 or q.a % p == 0:
         return form_covers_p_exhaustive(q, p)
+    from .modular import jacobi
+
     return jacobi(form_discriminant(q), p) != -1
 
 
@@ -241,39 +243,6 @@ def _eliminate(
     return pivots, dependent
 
 
-def _residues(d: int, p: np.ndarray) -> np.ndarray:
-    """d mod p for each prime p < 2**31, exactly for any integer d:
-    Horner over the 30-bit limbs of |d|, every step below 2**62."""
-    m = abs(d)
-    r = np.zeros_like(p)
-    for shift in range(30 * ((m.bit_length() - 1) // 30), -1, -30):
-        r = ((r << 30) + ((m >> shift) & 0x3FFFFFFF)) % p
-    return (-r) % p if d < 0 else r
-
-
-def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
-    """Smallest odd prime up to bound where every discriminant is a
-    nonresidue; such a prime divides no a_i and no disc_i.
-
-    Euler's criterion d^((p-1)/2) = -1 mod p runs over arrays of primes,
-    one discriminant at a time on the primes still in play.  The windows
-    of primes grow by 16x, so an early example costs one small window.
-    """
-    if bound >= 1 << 31:
-        raise ValueError("example prime bound must be below 2**31")
-    lo, hi = 3, 1 << 10
-    while lo <= bound:
-        for p in iter_prime_arrays(lo, min(hi, bound)):
-            for d in discs:
-                if not p.size:
-                    break
-                p = p[_batch_powmod(_residues(d, p), p >> 1, p) == p - 1]
-            if p.size:
-                return int(p[0])
-        lo, hi = hi + 1, hi << 4
-    return None
-
-
 def decide_cover(
     forms: list[QuadForm], example_prime_bound: int = EXAMPLE_PRIME_BOUND
 ) -> CoverVerdict:
@@ -317,6 +286,8 @@ def decide_cover(
     witness_class = FrobeniusClass(basis, signs)
     for cl in classes:
         assert witness_class.value_on_bits(cl.bits) == -1
+    from .modular import _find_uncovered_prime
+
     example = _find_uncovered_prime(discs, example_prime_bound)
     return FailsToCover(Fraction(1, 2**rank), rank, witness_class, example)
 
@@ -361,38 +332,138 @@ def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
         else:
             quadratic[_primitive((q.a, q.b, q.c))] = cl.bits
 
-    # Coordinates of each class over the pivot vectors (input order).
-    _, dependent = _eliminate(list(quadratic.values()))
-    position: dict[int, int] = {}
-    coords = []
-    for i, track in enumerate(dependent):
-        if track is None:
-            position[i] = len(position)
-            coords.append(1 << position[i])
-        else:
-            coords.append(sum(1 << k for j, k in position.items() if (track >> j) & 1))
-    rank = len(position)
-    if rank > MAX_ENUMERATION_RANK:
-        raise ValueError(f"square-class rank {rank} exceeds {MAX_ENUMERATION_RANK}")
-
-    # odd[psi] counts the classes on which the character psi is -1; the
-    # parity of <psi, w> over all psi doubles once per bit of psi.
-    odd = np.zeros(1 << rank, dtype=np.min_scalar_type(len(coords)))
-    for w in coords:
-        par = np.zeros(1, dtype=np.uint8)
-        for j in range(rank):
-            par = np.concatenate((par, par ^ ((w >> j) & 1)))
-        odd += par
-    counts = np.zeros(len(coords) + 1, dtype=np.int64)
-    for start in range(0, odd.size, _COUNT_SLICE):
-        counts += np.bincount(odd[start:start + _COUNT_SLICE], minlength=counts.size)
+    # Character psi gives the word (<psi, w_i>)_i of the binary code C of
+    # length n, one coordinate per distinct quadratic.  C has dimension
+    # rank, a word of weight k means 2 * (n - k) quadratic roots, and the
+    # tracks of the dependent classes form a basis of the dual code.
+    pivots, dependent = _eliminate(list(quadratic.values()))
+    n, rank = len(dependent), len(pivots)
+    if min(rank, n - rank) > MAX_ENUMERATION_RANK:
+        raise ValueError(
+            f"square-class rank {rank} of {n} classes: neither the class code "
+            f"nor its dual has dimension at most {MAX_ENUMERATION_RANK}"
+        )
+    if rank <= n - rank:
+        # generator columns: coordinates over the pivot classes (input order)
+        position: dict[int, int] = {}
+        columns = []
+        for i, track in enumerate(dependent):
+            if track is None:
+                position[i] = len(position)
+                columns.append(1 << position[i])
+            else:
+                columns.append(
+                    sum(1 << k for j, k in position.items() if (track >> j) & 1)
+                )
+        weights = _weight_counts(columns, rank)
+    else:
+        tracks = [t for t in dependent if t is not None]
+        columns = [
+            sum(((t >> i) & 1) << k for k, t in enumerate(tracks)) for i in range(n)
+        ]
+        weights = _macwilliams(_weight_counts(columns, n - rank), n - rank)
     total_classes = 1 << rank
     densities = {
-        len(linear) + 2 * (len(coords) - k): Fraction(int(cnt), total_classes)
-        for k, cnt in reversed(list(enumerate(counts)))
+        len(linear) + 2 * (n - k): Fraction(cnt, total_classes)
+        for k, cnt in reversed(list(enumerate(weights)))
         if cnt
     }
     return RootDistribution(densities, min(densities), rank)
+
+
+def _weight_counts(columns: list[int], dim: int) -> list[int]:
+    """Number of words of each weight 0..n in the binary code of length
+    n = len(columns) spanned by the rows of a dim x n generator matrix,
+    given by its columns as dim-bit ints.
+
+    Bit-sliced: in a slice of 2**low messages, column i is one 2**low-bit
+    int holding coordinate i of every word, and an adder tree sums the
+    columns into the binary digits of every word's weight.  A slice fixes
+    the high message bits, which complement the columns of odd parity.
+    """
+    low = min(dim, _SLICE_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    units = []  # units[j] has bit x set when bit j of x is set
+    for j in range(low):
+        unit, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while width < size:
+            unit |= unit << width
+            width <<= 1
+        units.append(unit)
+    low_columns = []
+    for c in columns:
+        col = 0
+        for j in range(low):
+            if (c >> j) & 1:
+                col ^= units[j]
+        low_columns.append(col)
+    high = [c >> low for c in columns]
+    counts = [0] * (len(columns) + 1)
+    for h in range(1 << (dim - low)):
+        digits = _bit_sum([
+            col ^ full if (hc & h).bit_count() & 1 else col
+            for col, hc in zip(low_columns, high)
+        ])
+        # split the slice by the digits, highest first, into sets of equal weight
+        sets = {0: full}
+        for b in reversed(range(len(digits))):
+            split = {}
+            for w, m in sets.items():
+                on = m & digits[b]
+                if on:
+                    split[w | 1 << b] = on
+                if on != m:
+                    split[w] = m ^ on
+            sets = split
+        for w, m in sets.items():
+            counts[w] += m.bit_count()
+    return counts
+
+
+def _bit_sum(bits: list[int]) -> list[int]:
+    """Binary digits, lowest first, of the bitwise column sums of the ints
+    in bits, by a carry-save tree of full adders (consumes bits)."""
+    digits = []
+    while bits:
+        carries = []
+        while len(bits) > 2:
+            x, y, z = bits.pop(), bits.pop(), bits.pop()
+            t = x ^ y
+            bits.append(t ^ z)
+            carries.append((x & y) | (t & z))
+        if len(bits) == 2:
+            x, y = bits
+            bits = [x ^ y]
+            carries.append(x & y)
+        digits.append(bits[0])
+        bits = carries
+    return digits
+
+
+def _macwilliams(dual_counts: list[int], dual_dim: int) -> list[int]:
+    """Weight counts of a binary code of length n from those of its dual,
+    of dimension dual_dim: A_k = 2**-dual_dim sum_w B_w K_k(w), with the
+    Krawtchouk numbers K_k(w) the coefficients of (1 - z)**w (1 + z)**(n - w)."""
+    n = len(dual_counts) - 1
+    sums = [0] * (n + 1)
+    row = [comb(n, k) for k in range(n + 1)]  # K_k(0)
+    for w, b in enumerate(dual_counts):
+        if b:
+            sums = [s + b * kr for s, kr in zip(sums, row)]
+        if w < n:  # K_k(w + 1): multiply by (1 - z) / (1 + z)
+            quotient, q = [], 0
+            for c in row:
+                q = c - q
+                quotient.append(q)
+            row = [quotient[0]] + [quotient[k] - quotient[k - 1] for k in range(1, n + 1)]
+    counts = []
+    for s in sums:
+        a, rem = divmod(s, 1 << dual_dim)
+        if rem or a < 0:
+            raise AssertionError("MacWilliams transform left a remainder")
+        counts.append(a)
+    return counts
 
 
 def product_polynomial(forms: list[QuadForm]) -> IntPoly:

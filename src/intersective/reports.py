@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .intpoly import IntPoly, to_text
 from .quadcover import (
@@ -18,8 +19,10 @@ from .quadcover import (
     QuadForm,
     RootDistribution,
 )
-from .scanner import DensityComparison, RealRootCheck, ScanReport
 from .sturm import Interval
+
+if TYPE_CHECKING:  # the scanner loads numpy
+    from .scanner import DensityComparison, RealRootCheck, ScanReport
 
 SCHEMA = "v2"
 

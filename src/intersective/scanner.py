@@ -18,7 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .intpoly import IntPoly, discriminant, squarefree_part
-from .modular import census_block, count_roots_block
+from .modular import _residues, census_block, count_roots_block
+from .parse import (
+    DEFAULT_SCAN_CAP,  # re-exported
+    HARD_SCAN_CAP,
+    MIN_DENSITY_RANGE_END,
+    InvariantViolation,
+)
 from .primes import PrimeRange, iter_prime_arrays
 from .quadcover import (
     QuadForm,
@@ -29,16 +35,8 @@ from .quadcover import (
 from .sturm import count_real_roots
 
 BLOCK_SPAN = 1 << 18
-DEFAULT_SCAN_CAP = 10**6
-HARD_SCAN_CAP = 10**8
 
 THREADS_ENV_VAR = "INTERSECTIVE_THREADS"
-
-_INT64_SAFE = 1 << 62
-
-
-class InvariantViolation(RuntimeError):
-    """A cycle-type census disagreed with its root count at some prime."""
 
 
 @dataclass
@@ -83,10 +81,7 @@ def _scan_block(
     covered = 0
     degree = fstar.degree
     for parr in iter_prime_arrays(lo, hi):
-        if bad < _INT64_SAFE:
-            good_mask = (bad % parr) != 0
-        else:
-            good_mask = np.array([bad % int(q) != 0 for q in parr.tolist()])
+        good_mask = _residues(bad, parr) != 0
         if not good_mask.all():
             excluded.extend(parr[~good_mask].tolist())
             parr = parr[good_mask]
@@ -251,9 +246,6 @@ class DensityRow:
 class DensityComparison:
     rows: list[DensityRow]
     max_abs_deviation: Fraction
-
-
-MIN_DENSITY_RANGE_END = 10**5
 
 
 def density_comparison(dist: RootDistribution, report: ScanReport) -> DensityComparison:

@@ -232,6 +232,21 @@ def test_density_json():
     assert obj["densities"]["0"] == {"num": 1, "den": 4, "decimal": "0.250000"}
 
 
+def test_density_refused_beyond_the_enumeration_bound(tmp_path):
+    # 25 forms x^2 - p and 25 forms x^2 - p q in the same 25 classes: rank
+    # 25, and the dual code has dimension 25 too
+    ps = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    lines = [f"1,0,{-p}" for p in ps] + [
+        f"1,0,{-ps[i] * ps[(i + 1) % 25]}" for i in range(25)
+    ]
+    path = tmp_path / "forms.txt"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = run_cli("density", "--forms-file", str(path), expect=2)
+    assert out == ""
+    assert err.startswith("error: square-class rank 25 of 50 classes")
+    assert "at most 24" in err
+
+
 def test_shared_factors_count_once():
     # x^2 - 1 and x^2 - x share the root 1: 3 distinct roots everywhere
     obj = run_json(

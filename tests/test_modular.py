@@ -11,6 +11,7 @@ import intersective.modular as modular_mod
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
     FpPoly,
+    _residues,
     census_block,
     count_roots_block,
     count_roots_mod_p,
@@ -390,3 +391,22 @@ def test_count_roots_block_partial_chunk(monkeypatch):
     assert int((whole != 3).sum()) % 7 != 0  # the last chunk is partial
     assert count_roots_block(cubic, parr).tolist() == whole.tolist()
     assert whole.tolist() == [count_roots_mod_p(cubic, int(p)) for p in parr]
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@example(d=-(2**300), primes=[2, 3, 99999989])
+@example(d=0, primes=[2])
+@given(
+    d=st.integers(-(2**300), 2**300),
+    # 99999989 is the largest prime below 10**8
+    primes=st.lists(st.integers(2, 99999989).map(next_prime), min_size=1, max_size=20),
+)
+def test_residues_match_python_mod(d, primes):
+    p = np.array(primes, dtype=np.int64)
+    assert _residues(d, p).tolist() == [d % q for q in primes]

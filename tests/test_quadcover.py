@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from intersective.quadcover import (
     is_positive_definite,
     product_polynomial,
 )
-from intersective.quadcover import _find_uncovered_prime
+from intersective.modular import _find_uncovered_prime
+from intersective.quadcover import _macwilliams, _weight_counts
 
 TRIPLE = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
 
@@ -304,11 +307,51 @@ def test_distribution_counts_shared_factors_once():
     assert dist.densities == {1: Fraction(1)}
 
 
+def chained_forms(r):
+    """2r forms x^2 - p_i and x^2 - p_i p_(i+1) (indices mod r) over the
+    first r primes: 2r distinct quadratics whose classes have rank r."""
+    ps = list(primes_in(2, 1000))[:r]
+    return [QuadForm(1, 0, -p) for p in ps] + [
+        QuadForm(1, 0, -ps[i] * ps[(i + 1) % r]) for i in range(r)
+    ]
+
+
 def test_distribution_rank_guard():
-    small_primes = list(primes_in(2, 200))
-    forms = [QuadForm(1, 0, -p) for p in small_primes[:25]]  # disc 4p, kernel p
-    with pytest.raises(ValueError):
-        exact_root_distribution(forms)
+    # rank 25 and a dual code of dimension 50 - 25: both exceed the bound 24
+    with pytest.raises(ValueError, match="at most 24"):
+        exact_root_distribution(chained_forms(25))
+
+
+def test_distribution_of_independent_classes_beyond_the_bound():
+    # rank 30 > 24, but the dual code is zero: binomial densities
+    forms = [QuadForm(1, 0, -p) for p in list(primes_in(2, 200))[:30]]
+    dist = exact_root_distribution(forms)
+    assert dist.rank == 30
+    assert dist.densities == {
+        2 * k: Fraction(math.comb(30, k), 2**30) for k in range(31)
+    }
+
+
+def test_distribution_on_both_sides_of_the_dual_choice():
+    # x^2 + 1, x^2 + 4 and (x + 1)^2 + 1 in class -1, x^2 - 2 and x^2 - 8
+    # in class 2: rank 2 of 5, the class code is enumerated.  Roots:
+    # 2 * 3 when the character of -1 is +1, plus 2 * 2 when that of 2 is.
+    forms = [QuadForm(1, 0, 1), QuadForm(1, 0, 4), QuadForm(1, 2, 2),
+             QuadForm(1, 0, -2), QuadForm(1, 0, -8)]
+    dist = exact_root_distribution(forms)
+    assert dist.rank == 2
+    quarter = Fraction(1, 4)
+    assert dist.densities == {0: quarter, 4: quarter, 6: quarter, 10: quarter}
+    # x^2 + 1, x^2 + 4, x^2 - 2, x^2 - 3: rank 3 of 4, the dual code of
+    # dimension 1 is enumerated.  Roots: 4 from class -1, 2 each from 2, 3.
+    forms = [QuadForm(1, 0, 1), QuadForm(1, 0, 4), QuadForm(1, 0, -2),
+             QuadForm(1, 0, -3)]
+    dist = exact_root_distribution(forms)
+    assert dist.rank == 3
+    assert dist.densities == {
+        0: Fraction(1, 8), 2: Fraction(1, 4), 4: Fraction(1, 4),
+        6: Fraction(1, 4), 8: Fraction(1, 8),
+    }
 
 
 def test_distribution_wide_rank_uses_vector_path():
@@ -502,3 +545,124 @@ def test_example_prime_search_windows():
     )
     with pytest.raises(ValueError):
         _find_uncovered_prime(discs, 2**31)
+
+
+def brute_weight_counts(columns, dim):
+    counts = [0] * (len(columns) + 1)
+    for x in range(1 << dim):
+        counts[sum((x & c).bit_count() & 1 for c in columns)] += 1
+    return counts
+
+
+def dual_columns(columns):
+    """Generator columns of the dual of the code with these columns, by
+    brute force over F_2^n: a basis of {x : sum x_i c_i = 0}."""
+    n = len(columns)
+    basis = []
+    for x in range(1 << n):
+        acc = 0
+        for i in range(n):
+            if (x >> i) & 1:
+                acc ^= columns[i]
+        if acc == 0 and f2_rank(basis + [x]) > len(basis):
+            basis.append(x)
+    return [sum(((t >> i) & 1) << k for k, t in enumerate(basis)) for i in range(n)], len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(0, 7),
+    data=st.data(),
+    slice_bits=st.sampled_from((0, 1, 3, 16)),
+)
+def test_weight_counts_match_brute_force(dim, data, slice_bits):
+    columns = data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=12))
+    with mock.patch("intersective.quadcover._SLICE_BITS", slice_bits):
+        assert _weight_counts(columns, dim) == brute_weight_counts(columns, dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(0, 5), data=st.data())
+def test_macwilliams_recovers_the_code_from_its_dual(dim, data):
+    columns = data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=9))
+    rank = f2_rank(
+        [sum(((c >> j) & 1) << i for i, c in enumerate(columns)) for j in range(dim)]
+    )
+    dual, dual_dim = dual_columns(columns)
+    assert dual_dim == len(columns) - rank
+    # every word of the rank-dimensional code is hit 2**(dim - rank) times
+    expected = [c >> (dim - rank) for c in brute_weight_counts(columns, dim)]
+    assert _macwilliams(_weight_counts(dual, dual_dim), dual_dim) == expected
+
+
+def test_weight_counts_across_slices_agree_with_the_dual():
+    # rank 18 of 36 classes: both codes span four slices of 2**16 words
+    columns = [1 << i for i in range(18)] + [(1 << i) | (1 << (i + 1) % 18) for i in range(18)]
+    dual = [(1 << i) | (1 << (i - 1) % 18) for i in range(18)] + [1 << i for i in range(18)]
+    counts = _weight_counts(columns, 18)
+    assert counts == _macwilliams(_weight_counts(dual, 18), 18)
+    dist = exact_root_distribution(chained_forms(18))
+    assert dist.rank == 18
+    assert dist.densities == {
+        2 * (36 - k): Fraction(c, 2**18) for k, c in reversed(list(enumerate(counts))) if c
+    }
+
+
+# Many distinct quadratics in a few square classes (k), so that n - rank
+# exceeds the rank or falls below it, with repeated and proportional
+# factors, square discriminants (k = 0, 1), and linear forms (a = 0) and
+# the forms of FORMS mixed in.
+def class_forms(k):
+    return st.builds(
+        lambda c, s, k, m: QuadForm(c, 2 * c * s, c * (s * s - k * m * m)),
+        st.sampled_from((1, 2, -3)), st.integers(-2, 2), k, st.integers(1, 3),
+    )
+
+
+FEW_CLASS_FORMS = st.lists(
+    st.sampled_from((0, 1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 11, 13, -15)),
+    min_size=1, max_size=5, unique=True,
+).flatmap(lambda ks: st.lists(class_forms(st.sampled_from(ks)), min_size=1, max_size=10))
+LINEAR_FORMS = st.builds(
+    QuadForm, st.just(0), st.integers(-3, 3).filter(bool), st.integers(-6, 6)
+)
+
+
+def assignment_oracle(forms):
+    """Root-count densities over every +/-1 assignment on the square-class
+    basis, with distinct factors found by exact rational arithmetic."""
+    classes, basis = build_square_classes(forms)
+    roots = set()
+    quadratics = {}
+    for q, cl in zip(forms, classes):
+        if q.a == 0:
+            if q.b:
+                roots.add(Fraction(-q.c, q.b))
+        elif cl.is_trivial:
+            s = math.isqrt(form_discriminant(q))
+            roots |= {Fraction(-q.b + s, 2 * q.a), Fraction(-q.b - s, 2 * q.a)}
+        else:
+            quadratics[(Fraction(q.b, q.a), Fraction(q.c, q.a))] = cl.bits
+    counts = {}
+    for signs in itertools.product((1, -1), repeat=len(basis)):
+        minus = sum(1 << j for j, s in enumerate(signs) if s < 0)
+        k = len(roots) + 2 * sum(
+            1 for bits in quadratics.values() if (minus & bits).bit_count() % 2 == 0
+        )
+        counts[k] = counts.get(k, 0) + 1
+    rank = f2_rank(list(quadratics.values()))
+    return rank, {k: Fraction(c, 2 ** len(basis)) for k, c in sorted(counts.items())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    few=FEW_CLASS_FORMS,
+    other=st.lists(st.one_of(LINEAR_FORMS, FORMS), max_size=4),
+)
+def test_distribution_matches_every_assignment(few, other):
+    forms = few + other
+    rank, densities = assignment_oracle(forms)
+    dist = exact_root_distribution(forms)
+    assert dist.rank == rank
+    assert dist.densities == densities
+    assert list(dist.densities) == sorted(densities)

@@ -100,6 +100,19 @@ def test_reports_identical_across_worker_counts():
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_bad_primes_of_a_huge_discriminant():
+    # 2 * disc = -8 * 3**45 * 5 * 7 is far beyond int64
+    c = 3**45 * 5 * 7
+    report = scan(IntPoly((c, 0, 1)), PrimeRange(2, 3000), workers=1)
+    assert report.excluded_primes == (2, 3, 5, 7)
+    good = list(primes_in(11, 3000))
+    assert report.good_prime_count == len(good)
+    assert report.histogram == {
+        0: sum(1 for p in good if pow(-c % p, (p - 1) // 2, p) == p - 1),
+        2: sum(1 for p in good if pow(-c % p, (p - 1) // 2, p) == 1),
+    }
+
+
 def test_empty_range_report():
     report = scan(IntPoly((1, 0, 1)), PrimeRange(24, 28))
     assert report.histogram == {}

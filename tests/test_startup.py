@@ -1,0 +1,85 @@
+"""numpy loads only where a prime-array kernel runs.
+
+Each check runs in a fresh interpreter, since the test process itself has
+numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+FORMS_20 = [f"1,0,{-p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                  41, 43, 47, 53, 59, 61, 67, 71)]
+
+
+def run_python(code):
+    """Run code in a new interpreter with the package on the path and
+    return the last line it prints, parsed as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get(
+        "PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli_loads_numpy(*argv):
+    """(exit code, stdout, whether numpy was imported) of one CLI run."""
+    return run_python(
+        "import contextlib, io, json, sys\n"
+        "from intersective.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main({list(argv)!r})\n"
+        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+
+
+def test_imports_do_not_load_numpy():
+    for module in ("intersective", "intersective.cli"):
+        loaded = run_python(
+            f"import json, sys, {module}\nprint(json.dumps('numpy' in sys.modules))"
+        )
+        assert loaded is False, module
+
+
+def test_integer_subcommands_run_without_numpy():
+    density = ["density"]
+    for form in FORMS_20:
+        density += ["--form", form]
+    for argv in (
+        ["realroots", "--poly", "x^2-2"],
+        ["cover", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2"],
+        density,
+    ):
+        code, out, loaded = cli_loads_numpy(*argv)
+        assert code == 0 and out, argv
+        assert loaded is False, argv
+    assert json.loads(out)["rank"] == 20  # the density ran last
+
+
+def test_prime_array_subcommands_load_numpy():
+    code, out, loaded = cli_loads_numpy("cover", "--form", "1,0,1")
+    assert code == 0 and loaded
+    assert json.loads(out)["example_prime"] == 3
+    code, out, loaded = cli_loads_numpy("scan", "--poly", "x^2+1", "--to", "100")
+    assert code == 0 and loaded
+    assert json.loads(out)["histogram"] == {"0": 13, "2": 11}
+
+
+def test_every_export_resolves():
+    missing = run_python(
+        "import json, intersective\n"
+        "print(json.dumps([n for n in intersective.__all__"
+        " if not hasattr(intersective, n)]))"
+    )
+    assert missing == []
+    assert run_python(
+        "import json, intersective\n"
+        "from intersective.scanner import InvariantViolation\n"
+        "print(json.dumps(intersective.InvariantViolation is InvariantViolation))"
+    )
