@@ -6,16 +6,21 @@ rank over F_p: d - rank of multiplication by x^p - x on F_p[x]/(f).  The
 scalar gcd is kept as its oracle and int64 fallback.
 
 The cycle type of a squarefree polynomial at a good prime is the multiset
-of irreducible factor degrees.  Over a block of primes it comes from a
-rank census: with Q the Berlekamp matrix of Frobenius on F_p[x]/(f),
-dim ker(Q^k - I) = sum_i gcd(k, d_i) over the factor degrees d_i, and
-Moebius inversion over k = 1..deg f recovers the degrees.  The scalar
-distinct-degree factorization (no equal-degree splitting) is kept as its
-oracle.  census_block gives root counts and cycle types from one powering
-of x^p mod f.
+of irreducible factor degrees.  Over a block of primes it comes from the
+distinct-degree counts D_k = deg gcd(f, x^(p^k) - x) = sum of m * c_m
+over m dividing k, each again d - rank of a multiplication matrix, for
+k <= deg f / 2.  Moebius inversion gives the counts c_m of factors of
+degree m <= deg f / 2, and the degree left over is one factor.  The
+scalar distinct-degree factorization (no equal-degree splitting) is kept
+as its oracle.  census_block gives root counts and cycle types from one
+powering of x^p mod f, and D_1 is the root count.
+
+Every rank goes through one kernel, _batch_rank: lanes innermost, forward
+elimination with full pivoting in lockstep across the lanes.
 
 Exact residues of big integers mod prime arrays (_residues) serve the
-scanner's bad-prime filter and the batched Euler criterion of the
+reduction of huge coefficients, the scanner's bad-prime filter and
+Stickelberger check, and the batched Euler criterion of the
 example-prime search that a fails-to-cover verdict runs.
 """
 
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intpoly import IntPoly, discriminant, squarefree_part
+from .parse import InvariantViolation
 from .primes import iter_prime_arrays
 
 BRUTE_FORCE_MAX_P = 10**4
@@ -34,10 +40,10 @@ BRUTE_FORCE_MAX_P = 10**4
 # value (see _frobenius_block), so it stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
-# Lanes per chunk times the entries per lane stays below this, so each array
-# of a batched rank step holds at most 512 KiB whatever the number of
-# primes: d**3 entries per lane for the d matrices Q^k - I of the cycle-type
-# census, d**2 for the d x d matrix of the root count.
+# Lanes per chunk times the d**2 entries per lane of a d x d matrix stays
+# below this, so each array of a batched rank step, and each chunk's
+# Berlekamp matrix in the cycle-type census, holds at most 512 KiB whatever
+# the number of primes.
 _RANK_CHUNK_ENTRIES = 1 << 16
 
 
@@ -345,11 +351,11 @@ def cycle_types_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     lc(f) nor disc(f).  Falls back to the scalar routine when int64
     cannot hold the intermediate products.
 
-    The Berlekamp matrix Q of Frobenius on F_p[x]/(g) has columns
-    x^(jp) mod g, and dim ker(Q^k - I) = sum_i gcd(k, d_i) over the
-    factor degrees d_i; Moebius inversion over k = 1..d yields the
-    counts.  Ranks come from fraction-free elimination, so no inverses
-    are needed, and lanes run in chunks of bounded size.
+    The distinct-degree counts D_k = deg gcd(g, x^(p^k) - x) for
+    k <= d/2 are d - rank of multiplication by x^(p^k) - x, and Moebius
+    inversion over divisors yields the counts (see _cycle_types).  Ranks
+    come from fraction-free elimination, so no inverses are needed, and
+    lanes run in chunks of bounded size.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
@@ -369,17 +375,16 @@ def cycle_types_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
 def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(count_roots_block(f, primes), cycle_types_block(f, primes)).
 
-    Both come from one powering of x^p mod g.  The root count is the
-    rank of multiplication by x^p - x and the cycle type comes from the
-    ranks of Q^k - I, so comparing them still checks one matrix against
-    another.  The primes must be good for squarefree f.
+    Both come from one powering of x^p mod g, and the root count is the
+    distinct-degree count D_1 of the census, so it is taken from the
+    types.  The primes must be good for squarefree f.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
     if primes.size == 0 or f.degree < 2 or not _fits_int64(f.degree, primes):
         return count_roots_block(f, primes), cycle_types_block(f, primes)
-    frob = _frobenius_block(f, primes)
-    return _root_counts(*frob), _cycle_types(*frob)
+    types = _cycle_types(*_frobenius_block(f, primes))
+    return types[:, 0].copy(), types
 
 
 def _fits_int64(d: int, primes: np.ndarray) -> bool:
@@ -408,8 +413,7 @@ def _frobenius_block(
     if max(abs(c) for c in coeffs) < _INT64_LIMIT // 2:
         cols = [np.remainder(np.int64(c), p) for c in coeffs]
     else:
-        plist = p.tolist()
-        cols = [np.array([c % q for q in plist], dtype=np.int64) for c in coeffs]
+        cols = [_residues(c, p) for c in coeffs]
     lead = cols[-1]
     assert int((lead == 0).sum()) == 0, "prime divides leading coefficient"
     inv = _batch_powmod(lead, p - 2, p)
@@ -469,109 +473,128 @@ def _reduce_mod_g(t: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _root_counts(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """d - rank(M_h) per lane, M_h with columns x^j * (H - x) mod g."""
-    d, n = H.shape
+    """deg gcd(g, x^p - x) per lane, from H = x^p mod g."""
+    return _kernel_dims(p, G, _minus_x(H, p))
+
+
+def _minus_x(H: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """H - x mod p, coefficient-major."""
     h = H.copy()
-    h[1] = (h[1] - 1) % p  # x^p - x in the quotient ring
-    counts = np.full(n, d, dtype=np.int64)
-    rest = np.flatnonzero(h.any(axis=0))  # h = 0: g splits into distinct roots
+    h[1] = (h[1] - 1) % p
+    return h
+
+
+def _kernel_dims(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """deg gcd(g, h) per lane: d - rank of multiplication by h on F_p[x]/(g).
+
+    The matrix M_h has columns x^j * h mod g.  Lanes with h = 0 need no
+    rank; the others run in chunks of _RANK_CHUNK_ENTRIES // d**2 lanes.
+    """
+    d, n = h.shape
+    dims = np.full(n, d, dtype=np.int64)
+    rest = np.flatnonzero(h.any(axis=0))
     chunk = max(1, _RANK_CHUNK_ENTRIES // d**2)
     for lo in range(0, rest.size, chunk):
         idx = rest[lo : lo + chunk]
         q, g, col = p[idx], G[:, idx], h[:, idx]
-        M = np.empty((idx.size, d, d), dtype=np.int64)
+        M = np.empty((d, d, idx.size), dtype=np.int64)
         for j in range(d):
-            M[:, :, j] = col.T
+            M[:, j] = col
             if j + 1 < d:
                 col = _mul_by_x(col, g, q)
-        counts[idx] = d - _batch_rank(M, q)
-    return counts
+        dims[idx] = d - _batch_rank(M, q)
+    return dims
 
 
 def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Counts per factor degree from the ranks of Q^k - I, in lane chunks."""
-    d, n = H.shape
-    chunk = max(1, _RANK_CHUNK_ENTRIES // d**3)
-    kernel_dims = np.concatenate([
-        d - _frobenius_power_ranks(p[s], G[:, s], H[:, s])
-        for s in (slice(lo, lo + chunk) for lo in range(0, n, chunk))
-    ])
-    return _moebius_counts(kernel_dims)
+    """Counts per factor degree from the distinct-degree counts D_k.
 
-
-def _frobenius_power_ranks(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """rank(Q^k - I) over F_p for k = 1..d per lane, as an n x d array."""
+    D_k = deg gcd(g, x^(p^k) - x) = sum of m * c_m over m dividing k.
+    D_1 is the root count.  For k = 2..d/2, H_k = x^(p^k) mod g is Q H_(k-1)
+    with Q the Berlekamp matrix (columns x^(jp) mod g), built per lane
+    chunk.  Moebius inversion gives m * c_m for m <= d/2; the degree left
+    over is either 0 or one factor of degree above d/2.  Raises
+    InvariantViolation, naming the prime, when m * c_m is not a multiple
+    of m or the leftover degree is negative or at most d/2.
+    """
     d, n = H.shape
-    Q = np.zeros((n, d, d), dtype=np.int64)
-    Q[:, 0, 0] = 1
-    col = H
-    for j in range(1, d):
-        Q[:, :, j] = col.T
-        if j + 1 < d:
-            col = _mulmod(col, H, G, p)
-    P = p[:, None, None]
-    eye = np.eye(d, dtype=np.int64)
-    # column 0 of Q^k - I is zero (Q fixes the constant 1), so it is left out
-    stack = np.empty((n, d, d, d - 1), dtype=np.int64)
-    Qk = Q
-    for k in range(d):
-        if k:
-            Qk = Qk @ Q % P
-        stack[:, k] = (Qk[:, :, 1:] - eye[:, 1:]) % P
-    return _batch_rank(stack.reshape(n * d, d, d - 1), np.repeat(p, d)).reshape(n, d)
+    half = d // 2
+    D = np.empty((half, n), dtype=np.int64)
+    D[0] = _root_counts(p, G, H)
+    chunk = max(1, _RANK_CHUNK_ENTRIES // d**2)
+    for lo in range(0, n if half > 1 else 0, chunk):  # d <= 3 needs D_1 alone
+        s = slice(lo, lo + chunk)
+        q, g, Hk = p[s], G[:, s], H[:, s]
+        Q = np.zeros((d, d, Hk.shape[1]), dtype=np.int64)
+        Q[0, 0] = 1
+        col = Hk
+        for j in range(1, d):
+            Q[:, j] = col
+            if j + 1 < d:
+                col = _mulmod(col, Hk, g, q)
+        for k in range(2, half + 1):
+            # each sum holds d products below p**2
+            Hk = np.einsum("ijl,jl->il", Q, Hk) % q
+            D[k - 1, s] = _kernel_dims(q, g, _minus_x(Hk, q))
+    mc = np.empty_like(D)  # mc[m - 1] = m * c_m
+    for m in range(1, half + 1):
+        mc[m - 1] = sum(_moebius(m // e) * D[e - 1] for e in range(1, m + 1) if m % e == 0)
+    m_col = np.arange(1, half + 1)[:, None]
+    left = d - mc.sum(axis=0)
+    wrong = (mc % m_col != 0).any(axis=0) | (left < 0) | ((left > 0) & (left <= half))
+    if wrong.any():
+        i = int(np.flatnonzero(wrong)[0])
+        raise InvariantViolation(
+            f"distinct-degree counts {D[:, i].tolist()} at p={int(p[i])} "
+            f"fit no factorization of degree {d}"
+        )
+    types = np.zeros((n, d), dtype=np.int64)
+    types[:, :half] = (mc // m_col).T
+    big = np.flatnonzero(left)
+    types[big, left[big] - 1] = 1
+    return types
 
 
 def _batch_rank(M: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank over F_p[i] of every matrix M[i] (entries reduced); M is consumed.
+    """Rank over F_p[i] of every matrix M[:, :, i]; M is consumed.
 
-    Fraction-free Gauss-Jordan: a pivot a in row r clears column j from
-    every other row as row <- a * row - row[j] * M[r], so entries stay
-    below p**2 before reduction.  Columns up to j are never read again,
-    so only the columns right of j are updated.
+    Entries are residues in (-p, p) and 2 * p**2 < 2**63.  Lanes are
+    innermost, so every row operation is one contiguous pass over the
+    lanes.  Forward elimination with full pivoting, in lockstep: at each
+    step a lane takes a nonzero entry of its remaining block (the corner
+    if it is nonzero), swaps it to the corner, and updates the rows below,
+    fraction-free, as row <- a * row - row[0] * pivot_row, so entries stay
+    below 2 * p**2 before the signed reduction (fmod).  The pivot row and
+    column are then dropped.  A lane whose block is zero has pivot a = 0,
+    so its block stays zero.
     """
-    m, rows, cols = M.shape
-    lanes = np.arange(m)
-    used = np.zeros((m, rows), dtype=bool)
-    rank = np.zeros(m, dtype=np.int64)
-    P = p[:, None, None]
-    for j in range(cols):
-        col = M[:, :, j]
-        cand = (col != 0) & ~used
-        has = cand.any(axis=1)
-        r = cand.argmax(axis=1)
-        used[lanes, r] |= has
-        rank += has
-        if j + 1 == cols:
+    rank = np.zeros(p.size, dtype=np.int64)
+    while M.shape[0]:
+        s = M.shape[0]
+        has = M[0, 0] != 0
+        search = np.flatnonzero(~has)
+        if search.size:
+            nz = (M[:, :, search] != 0).reshape(s * s, -1)
+            pos = nz.argmax(axis=0)
+            found = nz[pos, np.arange(search.size)]
+            moved, pos = search[found], pos[found]
+            has[moved] = True
+            r, c = np.divmod(pos, s)
+            top = M[0][:, moved]
+            M[0][:, moved] = M[r, :, moved].T
+            M[r, :, moved] = top.T
+            left = M[:, 0][:, moved]
+            M[:, 0][:, moved] = M[:, c, moved]
+            M[:, c, moved] = left
+        if not has.any():
             break
-        rest = M[:, :, j + 1 :]
-        pivot_row = rest[lanes, r]
-        coef = col * has[:, None]  # lanes without a pivot keep their rows
-        rest *= np.where(has, col[lanes, r], 1)[:, None, None]
-        rest -= coef[:, :, None] * pivot_row[:, None, :]
-        rest %= P
-        rest[lanes, r] = pivot_row
+        rank += has
+        rest = M[1:, 1:]
+        rest *= M[0, 0]
+        rest -= M[1:, 0, None] * M[0, None, 1:]
+        np.fmod(rest, p, out=rest)
+        M = rest
     return rank
-
-
-def _moebius_counts(kernel_dims: np.ndarray) -> np.ndarray:
-    """Counts c_m from N_k = sum_m c_m gcd(k, m), k, m = 1..d, per row.
-
-    gcd(k, m) = sum over e dividing both of phi(e), so N_k sums
-    phi(e) * A_e over e | k, where A_e counts the factors of degree
-    divisible by e.  Moebius inversion over divisors gives A_e, and
-    over multiples gives c_m.
-    """
-    d = kernel_dims.shape[1]
-    mu = [0] + [_moebius(k) for k in range(1, d + 1)]
-    A = np.empty_like(kernel_dims)
-    for e in range(1, d + 1):
-        divisors = [j for j in range(1, e + 1) if e % j == 0]
-        phi = sum(mu[e // j] * j for j in divisors)
-        A[:, e - 1] = sum(mu[e // j] * kernel_dims[:, j - 1] for j in divisors) // phi
-    counts = np.empty_like(kernel_dims)
-    for m in range(1, d + 1):
-        counts[:, m - 1] = sum(mu[t] * A[:, t * m - 1] for t in range(1, d // m + 1))
-    return counts
 
 
 def _moebius(n: int) -> int:

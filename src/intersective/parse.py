@@ -36,7 +36,7 @@ class FormParseError(ValueError):
 
 
 class InvariantViolation(RuntimeError):
-    """A cycle-type census disagreed with its root count at some prime."""
+    """A cycle-type census failed one of its checks at some prime."""
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xX])|(\*\*)|([()+\-*/^]))")

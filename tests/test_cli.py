@@ -292,6 +292,16 @@ def test_internal_check_failure_exits_3(monkeypatch):
     assert "p=5 " in err
 
 
+def test_census_breaking_stickelberger_exits_3(monkeypatch):
+    # type (1, 1) with 2 roots at every prime: only the parity of
+    # (8 | p) = -1 at p = 3 shows that x^2 - 2 does not split there
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
+        np.full(primes.size, 2), np.tile([2, 0], (primes.size, 1))))
+    _, err = run_cli("census", "--poly", "x^2-2", "--to", "100", expect=3)
+    assert err.startswith("internal check failed:")
+    assert "p=3 " in err and "Stickelberger" in err
+
+
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before anything is written

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ import intersective.modular as modular_mod
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
     FpPoly,
+    _batch_rank,
     _residues,
     census_block,
     count_roots_block,
@@ -22,6 +24,7 @@ from intersective.modular import (
     reduce,
     roots_mod_p_bruteforce,
 )
+from intersective.parse import InvariantViolation
 from intersective.primes import is_prime, primes_in
 
 TRIPLE = multiply(
@@ -363,14 +366,131 @@ def test_cycle_types_block_empty_and_linear():
 
 
 def test_cycle_types_block_partial_chunk(monkeypatch):
-    cubic = IntPoly([-2, 0, 0, 1])
-    primes = good_primes(cubic, list(primes_in(2, 200)))
-    whole = cycle_types_block(cubic, np.array(primes, dtype=np.int64))
-    monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 5 * 3**3)  # 5 lanes
+    quintic = IntPoly([-1, -1, 0, 0, 0, 1])  # degree 5: D_2 is ranked per chunk
+    primes = good_primes(quintic, list(primes_in(2, 200)))
+    whole = cycle_types_block(quintic, np.array(primes, dtype=np.int64))
+    monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 5 * 5**2)  # 5 lanes
     assert len(primes) % 5 != 0
-    assert_block_matches_oracle(cubic, primes)
-    assert cycle_types_block(cubic, np.array(primes, dtype=np.int64)).tolist() == (
+    assert_block_matches_oracle(quintic, primes)
+    assert cycle_types_block(quintic, np.array(primes, dtype=np.int64)).tolist() == (
         whole.tolist())
+
+
+def linear_product(roots):
+    f = IntPoly([1])
+    for r in roots:
+        f = multiply(f, IntPoly([-r, 1]))
+    return f
+
+
+# Linear factors and quadratics x^2 - a make x^(p^k) = x mod f common (every
+# factor degree divides k); the extra factor often has degree above d/2.
+@settings(max_examples=80, deadline=None)
+# degree 10 with factors of degree 7 (x^7 - x - 1 mod 7) and 6 (mod 11, 13)
+@example(roots=[0], quads=[2], extra=[-1, -1, 0, 0, 0, 0, 0],
+         primes=list(primes_in(3, 400)))
+# degree 8, every factor degree divides 2: H_2 = H_4 = x at every good prime
+@example(roots=[1, -1], quads=[2, -1, 3], extra=[], primes=list(primes_in(3, 400)))
+@given(
+    roots=st.lists(st.integers(-20, 20), unique=True, max_size=4),
+    quads=st.lists(st.integers(-30, 30), unique=True, max_size=3),
+    extra=st.lists(st.integers(-50, 50), max_size=8),
+    primes=st.lists(st.sampled_from(list(primes_in(3, 2000))), min_size=1, max_size=40),
+)
+def test_census_block_property(roots, quads, extra, primes):
+    f = linear_product(roots)
+    for a in quads:
+        f = multiply(f, IntPoly([-a, 0, 1]))
+    f = multiply(f, IntPoly(extra + [1]))
+    fstar = squarefree_part(f)
+    if not 2 <= fstar.degree <= 10:
+        return
+    good = good_primes(fstar, primes)
+    counts, types = census_block(fstar, np.array(good, dtype=np.int64))
+    for count, row, p in zip(counts.tolist(), types.tolist(), good):
+        assert row == type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree), (
+            fstar, p)
+        assert count == count_roots_mod_p(fstar, p), (fstar, p)
+
+
+def test_census_of_a_25_digit_coefficient_matches_oracles():
+    # 10**24 + 7 is beyond int64: the coefficients are reduced by _residues
+    big = 10**24 + 7
+    for fstar in (IntPoly([big, -3, 0, 1]), IntPoly([5, 0, big, -1, 0, 1])):
+        primes = good_primes(fstar, list(primes_in(3, 3000)))
+        counts, types = census_block(fstar, np.array(primes, dtype=np.int64))
+        assert counts.tolist() == [count_roots_mod_p(fstar, p) for p in primes]
+        assert types.tolist() == [
+            type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree) for p in primes]
+
+
+def test_census_refuses_distinct_degree_counts_that_fit_no_type(monkeypatch):
+    quartic = IntPoly([1, 0, 0, 0, 1])
+    parr = np.array(good_primes(quartic, list(primes_in(3, 100))), dtype=np.int64)
+    # D_1 = 3 leaves one degree, at most d/2, for a single factor
+    monkeypatch.setattr(modular_mod, "_kernel_dims",
+                        lambda p, G, h: np.full(h.shape[1], 3, dtype=np.int64))
+    with pytest.raises(InvariantViolation, match=r"\[3, 3\] at p=3 "):
+        census_block(quartic, parr)
+    # D_1 = 0 and D_2 = 1: 2 * c_2 = 1 is odd
+    calls = []
+
+    def odd_d2(p, G, h):
+        calls.append(None)
+        return np.full(h.shape[1], len(calls) > 1, dtype=np.int64)
+    monkeypatch.setattr(modular_mod, "_kernel_dims", odd_d2)
+    with pytest.raises(InvariantViolation, match=r"\[0, 1\] at p=3 "):
+        census_block(quartic, parr)
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p by Gauss-Jordan on Python ints, the _batch_rank oracle."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][j], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j] * inv
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@lru_cache(maxsize=None)
+def edge_primes(d):
+    return tuple(largest_batched_primes(d, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(2, 10), edge=st.booleans(),
+       lanes=st.integers(1, 6))
+def test_batch_rank_matches_python_elimination(data, d, edge, lanes):
+    # rank-deficient lanes: products of d x r and r x d matrices, r <= d,
+    # as residues in (-p, p), the range the kernel accepts
+    pool = edge_primes(d) if edge else (2, 3, 5, 7, 13)
+    primes, mats = [], []
+    for _ in range(lanes):
+        p = data.draw(st.sampled_from(pool))
+        r = data.draw(st.integers(0, d))
+        entry = st.integers(0, p - 1)
+        a = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                               min_size=d, max_size=d))
+        b = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                               min_size=r, max_size=r))
+        neg = data.draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))
+        prod = [[sum(a[i][t] * b[t][j] for t in range(r)) % p for j in range(d)]
+                for i in range(d)]
+        mats.append([[x - p if x and neg[i * d + j] else x for j, x in enumerate(row)]
+                     for i, row in enumerate(prod)])
+        primes.append(p)
+    M = np.array(mats, dtype=np.int64).transpose(1, 2, 0).copy()
+    ranks = _batch_rank(M, np.array(primes, dtype=np.int64))
+    assert ranks.tolist() == [rank_mod_p(m, p) for m, p in zip(mats, primes)]
 
 
 def test_census_block_matches_separate_kernels():

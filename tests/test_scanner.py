@@ -1,11 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import intersective.scanner as scanner_mod
-from intersective.intpoly import IntPoly
-from intersective.modular import count_roots_block
+from intersective.intpoly import IntPoly, discriminant
+from intersective.modular import count_roots_block, count_roots_mod_p, cycle_type_mod_p
 from intersective.primes import PrimeRange, primes_in
 from intersective.quadcover import QuadForm
 from intersective.scanner import (
@@ -91,6 +92,27 @@ def test_invariant_violation_raised_on_bogus_census(monkeypatch):
         count_roots_block(f, primes), np.tile([2, 0, 0], (primes.size, 1))))
     with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=5 "):
         scan(IntPoly((-2, 0, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
+
+
+def test_bogus_census_breaking_stickelberger(monkeypatch):
+    # type (1, 1) with 2 roots passes the sum, root-count and sign checks,
+    # but disc(x^2 - 2) = 8 is a nonresidue mod 3, so x^2 - 2 is irreducible
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
+        np.full(primes.size, 2), np.tile([2, 0], (primes.size, 1))))
+    with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=3 .*Stickelberger"):
+        scan(IntPoly((-2, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
+
+
+def test_scan_of_a_25_digit_coefficient_matches_oracles():
+    f = IntPoly((10**24 + 7, -3, 0, 1))
+    report = scan(f, PrimeRange(2, 5000), with_cycle_types=True, workers=1)
+    bad = 2 * f.lc * discriminant(f)
+    good = [p for p in primes_in(2, 5000) if bad % p]
+    assert report.excluded_primes == tuple(p for p in primes_in(2, 5000) if bad % p == 0)
+    roots = Counter(count_roots_mod_p(f, p) for p in good)
+    types = Counter(cycle_type_mod_p(f, p) for p in good)
+    assert report.histogram == dict(sorted(roots.items()))
+    assert report.cycle_type_histogram == dict(sorted(types.items()))
 
 
 def test_reports_identical_across_worker_counts():
