@@ -354,9 +354,8 @@ def test_distribution_on_both_sides_of_the_dual_choice():
     }
 
 
-def test_distribution_of_independent_classes_below_the_bound():
-    # rank 16 and 18 with n = rank: the dual code has dimension 0, so no
-    # slice boundary is touched (test_weight_counts_* cover slicing)
+def test_distribution_wide_rank_uses_vector_path():
+    # rank 16 with n = rank: the dual code has dimension 0
     forms = [QuadForm(1, 0, -p) for p in list(primes_in(2, 200))[:16]]
     dist = exact_root_distribution(forms)
     assert dist.rank == 16
@@ -364,6 +363,11 @@ def test_distribution_of_independent_classes_below_the_bound():
     # independent classes: binomial distribution of 2*Binom(16, 1/2)
     assert dist.densities[0] == Fraction(1, 2**16)
     assert dist.densities[16] == Fraction(math.comb(16, 8), 2**16)
+
+
+def test_distribution_counts_across_slices():
+    # rank 18 with n = rank: the dual code has dimension 0, so no slice
+    # boundary is touched here (test_weight_counts_* cover slicing)
     forms = [QuadForm(1, 0, -p) for p in list(primes_in(2, 200))[:18]]
     dist = exact_root_distribution(forms)
     assert dist.rank == 18
