@@ -21,14 +21,6 @@ _EXPORTS = {
         "to_text",
     ),
     "primes": ("PrimeRange", "primes_in", "is_prime"),
-    "modular": (
-        "FpPoly",
-        "reduce",
-        "jacobi",
-        "count_roots_mod_p",
-        "roots_mod_p_bruteforce",
-        "cycle_type_mod_p",
-    ),
     "sturm": ("Interval", "count_real_roots", "isolate_real_roots"),
     "quadcover": (
         "QuadForm",
@@ -38,7 +30,6 @@ _EXPORTS = {
         "FailsToCover",
         "form_discriminant",
         "is_positive_definite",
-        "form_covers_p",
         "build_square_classes",
         "decide_cover",
         "exact_root_distribution",

@@ -1,40 +1,40 @@
-"""Polynomial arithmetic mod p: root counts, Jacobi symbols, cycle types.
+"""Polynomial arithmetic mod p over blocks of primes: root counts and
+cycle types.
 
 The root count of f mod p is deg gcd(x^p - x, f) over F_p, so only
 distinct roots are seen.  Over a block of primes it comes from a batched
-rank over F_p: d - rank of multiplication by x^p - x on F_p[x]/(f).  The
-scalar gcd is kept as its oracle and int64 fallback.
+rank over F_p: d - rank of multiplication by x^p - x on F_p[x]/(f).
 
 The cycle type of a squarefree polynomial at a good prime is the multiset
 of irreducible factor degrees.  Over a block of primes it comes from the
 distinct-degree counts D_k = deg gcd(f, x^(p^k) - x) = sum of m * c_m
 over m dividing k, each again d - rank of a multiplication matrix, for
 k <= deg f / 2.  Moebius inversion gives the counts c_m of factors of
-degree m <= deg f / 2, and the degree left over is one factor.  The
-scalar distinct-degree factorization (no equal-degree splitting) is kept
-as its oracle.  census_block gives root counts and cycle types from one
-powering of x^p mod f, and D_1 is the root count.
+degree m <= deg f / 2, and the degree left over is one factor.
+census_block gives root counts and cycle types from one powering of
+x^p mod f, and D_1 is the root count.
 
 Every rank goes through one kernel, _batch_rank: lanes innermost, forward
-elimination with full pivoting in lockstep across the lanes.
+elimination with full pivoting in lockstep across the lanes.  The
+arithmetic is exact int64 while deg f * p**2 < 2**63; a block with a
+larger prime is refused with a ValueError naming the degree and the
+prime (_frobenius_block), never answered another way.  The scalar
+routines the kernels are checked against live with the tests, in
+tests/oracles.py.
 
 Exact residues of big integers mod prime arrays (_residues) serve the
-reduction of huge coefficients, the scanner's bad-prime filter and
+reduction of the coefficients, the scanner's bad-prime filter and
 Stickelberger check, and the batched Euler criterion of the
 example-prime search that a fails-to-cover verdict runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .intpoly import IntPoly, discriminant, squarefree_part
+from .intpoly import IntPoly
 from .parse import InvariantViolation
 from .primes import iter_prime_arrays
-
-BRUTE_FORCE_MAX_P = 10**4
 
 # Batched arithmetic keeps every int64 entry within deg * p**2 in absolute
 # value (see _frobenius_block), so it stays exact while deg * p**2 < 2**63.
@@ -45,227 +45,6 @@ _INT64_LIMIT = 1 << 63
 # Berlekamp matrix in the cycle-type census, holds at most 512 KiB whatever
 # the number of primes.
 _RANK_CHUNK_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class FpPoly:
-    """Dense polynomial over F_p, coefficients ascending and reduced."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError("modulus must be at least 2")
-        if any(c < 0 or c >= self.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod p")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-
-def reduce(f: IntPoly, p: int) -> FpPoly:
-    """Reduce f mod p; the zero FpPoly signals that f vanishes mod p."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    return FpPoly(p, tuple(_trim([c % p for c in f.coeffs])))
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n >= 1; the Legendre symbol for prime n."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("Jacobi symbol requires a positive odd lower argument")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
-
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_monic(a: list[int], p: int) -> list[int]:
-    lead = a[-1]
-    if lead == 1:
-        return a
-    inv = pow(lead, p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a mod b over F_p; b must be monic."""
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - db
-            for i in range(db):
-                r[shift + i] = (r[shift + i] - lead * b[i]) % p
-        r.pop()
-    return _trim(r)
-
-
-def _fp_mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    """a * b mod g over F_p; g monic."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    out = [c % p for c in out]
-    return _fp_rem(out, g, p)
-
-
-def _fp_gcd_monic(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p (a or b may be empty)."""
-    while b:
-        b = _fp_monic(b, p)
-        a, b = b, _fp_rem(a, b, p)
-    if not a:
-        return []
-    return _fp_monic(a, p)
-
-
-def _fp_pow_x(e: int, g: list[int], p: int) -> list[int]:
-    """x**e mod g over F_p; g monic of degree >= 1."""
-    acc = [1]
-    x = _fp_rem([0, 1], g, p)
-    for bit in bin(e)[2:]:
-        acc = _fp_mulmod(acc, acc, g, p)
-        if bit == "1":
-            acc = _fp_mulmod(acc, x, g, p)
-    return acc
-
-
-def _fp_powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
-    acc = [1]
-    for bit in bin(e)[2:]:
-        acc = _fp_mulmod(acc, acc, g, p)
-        if bit == "1":
-            acc = _fp_mulmod(acc, a, g, p)
-    return acc
-
-
-def count_roots_mod_p(f: IntPoly, p: int) -> int:
-    """Number of distinct roots of f in F_p.
-
-    Computed as deg gcd(x**p - x, f mod p); primes dividing lc(f) simply
-    see the degree-dropped reduction.  Raises if f vanishes mod p.
-    """
-    g = reduce(f, p)
-    if g.is_zero:
-        raise ValueError(f"polynomial is identically zero mod {p}")
-    if g.degree == 0:
-        return 0
-    gm = _fp_monic(list(g.coeffs), p)
-    h = _fp_pow_x(p, gm, p)
-    # subtract x inside the quotient ring
-    xm = _fp_rem([0, 1], gm, p)
-    diff = [0] * max(len(h), len(xm))
-    for i, c in enumerate(h):
-        diff[i] = c
-    for i, c in enumerate(xm):
-        diff[i] = (diff[i] - c) % p
-    diff = _trim(diff)
-    if not diff:
-        return g.degree
-    d = _fp_gcd_monic(gm, diff, p)
-    return len(d) - 1
-
-
-def roots_mod_p_bruteforce(f: IntPoly, p: int) -> set[int]:
-    """All roots of f in F_p by direct evaluation; p capped for sanity."""
-    if p > BRUTE_FORCE_MAX_P:
-        raise ValueError(f"brute-force root search capped at p <= {BRUTE_FORCE_MAX_P}")
-    g = reduce(f, p)
-    if g.is_zero:
-        raise ValueError(f"polynomial is identically zero mod {p}")
-    roots = set()
-    for x in range(p):
-        acc = 0
-        for c in reversed(g.coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.add(x)
-    return roots
-
-
-def cycle_type_of_good_prime(fstar: IntPoly, p: int) -> tuple[int, ...]:
-    """Distinct-degree census for squarefree fstar at p not dividing
-    lc(fstar) * disc(fstar); no validation, callers guarantee the input."""
-    g = _fp_monic([c % p for c in fstar.coeffs], p)
-    parts: list[int] = []
-    r = g
-    h = _fp_rem([0, 1], r, p)
-    d = 0
-    while len(r) - 1 > 0:
-        d += 1
-        deg_r = len(r) - 1
-        if 2 * d > deg_r:
-            parts.append(deg_r)
-            break
-        h = _fp_powmod(h, p, r, p)
-        # gcd(h - x, r) collects every irreducible factor of degree d
-        diff = list(h) + [0] * (2 - len(h)) if len(h) < 2 else list(h)
-        diff[1] = (diff[1] - 1) % p
-        diff = _trim(diff)
-        gd = _fp_gcd_monic(r, diff, p) if diff else r
-        if len(gd) - 1 > 0:
-            parts.extend([d] * ((len(gd) - 1) // d))
-            r = _fp_exact_div(r, gd, p)
-            h = _fp_rem(h, r, p)
-    return tuple(sorted(parts))
-
-
-def _fp_exact_div(a: list[int], b: list[int], p: int) -> list[int]:
-    """a / b over F_p when b divides a; b monic."""
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        lead = r[k + db]
-        q[k] = lead
-        if lead:
-            for i in range(db + 1):
-                r[k + i] = (r[k + i] - lead * b[i]) % p
-    assert not any(r[:db])
-    return _trim(q)
-
-
-def cycle_type_mod_p(f: IntPoly, p: int) -> tuple[int, ...]:
-    """Multiset of irreducible factor degrees of squarefree_part(f) mod p.
-
-    Requires p prime and coprime to lc(f*) * disc(f*), where f* is the
-    squarefree part; such reductions stay squarefree of full degree.
-    """
-    fstar = squarefree_part(f)
-    if fstar.degree == 0:
-        raise ValueError("cycle type requires degree at least 1")
-    if fstar.lc % p == 0 or discriminant(fstar) % p == 0:
-        raise ValueError(f"{p} divides lc or disc of the squarefree part")
-    return cycle_type_of_good_prime(fstar, p)
 
 
 def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -317,79 +96,44 @@ def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
 
 
 def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
-    """count_roots_mod_p(f, p) for every p in primes, batched.
+    """Number of distinct roots of f mod p for every p in primes, batched.
 
     Every prime must leave the degree intact (p does not divide lc(f)).
     The count is d - rank(M_h) over F_p, where M_h is multiplication by
     h = x^p - x on F_p[x]/(g), g = f mod p: its kernel has dimension
     deg gcd(g, h), so the count is exact for any g, squarefree or not.
     The ranks come from batched fraction-free elimination in lane
-    chunks.  Falls back to the scalar routine when int64 cannot hold the
-    intermediate products.
-    """
-    if f.is_zero:
-        raise ValueError("polynomial is identically zero")
-    d = f.degree
-    n = int(primes.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if d == 0:
-        return np.zeros(n, dtype=np.int64)
-    if not _fits_int64(d, primes):
-        return np.array([count_roots_mod_p(f, int(p)) for p in primes], dtype=np.int64)
-    if d == 1:
-        return np.ones(n, dtype=np.int64)
-    return _root_counts(*_frobenius_block(f, primes))
-
-
-def cycle_types_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
-    """Cycle types of squarefree f at every good prime in primes, batched.
-
-    Entry [i, m - 1] is the number of irreducible factors of degree m of
-    f mod primes[i], so row i is cycle_type_of_good_prime(f, primes[i])
-    as counts per part.  Every prime must be good: p divides neither
-    lc(f) nor disc(f).  Falls back to the scalar routine when int64
-    cannot hold the intermediate products.
-
-    The distinct-degree counts D_k = deg gcd(g, x^(p^k) - x) for
-    k <= d/2 are d - rank of multiplication by x^(p^k) - x, and Moebius
-    inversion over divisors yields the counts (see _cycle_types).  Ranks
-    come from fraction-free elimination, so no inverses are needed, and
-    lanes run in chunks of bounded size.
+    chunks.  Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
     d = f.degree
     n = int(primes.size)
     if n == 0 or d < 2:
-        return np.ones((n, d), dtype=np.int64)
-    if not _fits_int64(d, primes):
-        types = np.zeros((n, d), dtype=np.int64)
-        for i, q in enumerate(primes.tolist()):
-            for part in cycle_type_of_good_prime(f, q):
-                types[i, part - 1] += 1
-        return types
-    return _cycle_types(*_frobenius_block(f, primes))
+        return np.full(n, d, dtype=np.int64)
+    return _root_counts(*_frobenius_block(f, primes))
 
 
 def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(count_roots_block(f, primes), cycle_types_block(f, primes)).
+    """Root counts and cycle types of squarefree f at every good prime.
 
-    Both come from one powering of x^p mod g, and the root count is the
-    distinct-degree count D_1 of the census, so it is taken from the
-    types.  The primes must be good for squarefree f.
+    Every prime must be good: p divides neither lc(f) nor disc(f).
+    Entry [i, m - 1] of the types is the number of irreducible factors
+    of degree m of f mod primes[i].  Both come from one powering of
+    x^p mod g: the distinct-degree counts D_k = deg gcd(g, x^(p^k) - x)
+    for k <= d/2 are d - rank of multiplication by x^(p^k) - x, Moebius
+    inversion over divisors yields the counts (see _cycle_types), and
+    the root count is D_1, the 1-part count.  Raises ValueError when
+    d >= 2 and d * pmax**2 >= 2**63.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
-    if primes.size == 0 or f.degree < 2 or not _fits_int64(f.degree, primes):
-        return count_roots_block(f, primes), cycle_types_block(f, primes)
+    d = f.degree
+    n = int(primes.size)
+    if n == 0 or d < 2:
+        return np.full(n, d, dtype=np.int64), np.ones((n, d), dtype=np.int64)
     types = _cycle_types(*_frobenius_block(f, primes))
     return types[:, 0].copy(), types
-
-
-def _fits_int64(d: int, primes: np.ndarray) -> bool:
-    pmax = int(primes.max())
-    return d * pmax * pmax < _INT64_LIMIT
 
 
 def _frobenius_block(
@@ -399,7 +143,8 @@ def _frobenius_block(
 
     Returns (p, G, H) coefficient-major: g = x^d + sum G[j] x^j and
     H[j] is the coefficient of x^j, each row holding one value per
-    prime.  Needs d >= 2, no prime dividing lc(f), and d * pmax**2 < 2**63.
+    prime.  Needs d >= 2 and no prime dividing lc(f); raises ValueError
+    when d * pmax**2 >= 2**63.
     """
     d = f.degree
     n = int(primes.size)
@@ -407,13 +152,13 @@ def _frobenius_block(
     # Lazy bound: an entry of a product sums at most d products of reduced
     # entries, each below p**2, and the lazy reduction (_reduce_mod_g)
     # subtracts at most d - 1 more, so entries stay within d * p**2.
-    assert d * pmax * pmax < _INT64_LIMIT, "int64 products would overflow"
+    if d * pmax * pmax >= _INT64_LIMIT:
+        raise ValueError(
+            f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
+            "(needs deg * p**2 < 2**63)"
+        )
     p = primes.astype(np.int64)
-    coeffs = f.coeffs
-    if max(abs(c) for c in coeffs) < _INT64_LIMIT // 2:
-        cols = [np.remainder(np.int64(c), p) for c in coeffs]
-    else:
-        cols = [_residues(c, p) for c in coeffs]
+    cols = [_residues(c, p) for c in f.coeffs]
     lead = cols[-1]
     assert int((lead == 0).sum()) == 0, "prime divides leading coefficient"
     inv = _batch_powmod(lead, p - 2, p)

@@ -69,27 +69,6 @@ def is_positive_definite(q: QuadForm) -> bool:
     return q.a > 0 and form_discriminant(q) < 0
 
 
-def form_covers_p_exhaustive(q: QuadForm, p: int) -> bool:
-    """Nontrivial zero mod p by direct projective enumeration."""
-    if q.a % p == 0:
-        return True  # the point (1, 0)
-    return any((q.a * x * x + q.b * x + q.c) % p == 0 for x in range(p))
-
-
-def form_covers_p(q: QuadForm, p: int) -> bool:
-    """Whether q has a nontrivial zero mod the prime p.
-
-    For odd p with p not dividing a this is the residue test
-    jacobi(b^2 - 4ac, p) != -1; the remaining cases fall back to
-    exhaustive enumeration.
-    """
-    if p == 2 or q.a % p == 0:
-        return form_covers_p_exhaustive(q, p)
-    from .modular import jacobi
-
-    return jacobi(form_discriminant(q), p) != -1
-
-
 @dataclass(frozen=True)
 class SquareClass:
     """Square class of a form discriminant as an F_2 vector.
@@ -163,7 +142,7 @@ def build_square_classes(
 class FrobeniusClass:
     """A +/-1 assignment on the square-class basis.
 
-    Realized by every prime p with jacobi(e, p) = signs[j] for each basis
+    Realized by every prime p with (e | p) = signs[j] for each basis
     element e = basis[j]; quadratic reciprocity supplies infinitely many.
     """
 

@@ -9,18 +9,14 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from intersective.intpoly import (
     IntPoly,
     discriminant,
     squarefree_part,
 )
-from intersective.modular import (
-    count_roots_mod_p,
-    cycle_type_mod_p,
-    jacobi,
-    reduce,
-    roots_mod_p_bruteforce,
-)
+from intersective.modular import census_block, count_roots_block
 from intersective.primes import PrimeRange, primes_in
 from intersective.quadcover import (
     Covers,
@@ -28,7 +24,6 @@ from intersective.quadcover import (
     QuadForm,
     decide_cover,
     exact_root_distribution,
-    form_covers_p_exhaustive,
     form_discriminant,
     is_positive_definite,
     product_polynomial,
@@ -36,6 +31,13 @@ from intersective.quadcover import (
 from intersective.reports import dumps, scan_report_json
 from intersective.scanner import compare_densities, scan
 from intersective.sturm import count_real_roots
+from oracles import (
+    count_roots_mod_p,
+    form_covers_p_exhaustive,
+    jacobi,
+    reduce,
+    roots_mod_p_bruteforce,
+)
 
 TRIPLE_FORMS = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
 TRIPLE_POLY = product_polynomial(TRIPLE_FORMS)
@@ -185,16 +187,15 @@ def test_criterion_7_cycle_types_refine_root_counts():
             fstar = squarefree_part(f)
             if fstar.degree >= 2:
                 polys.append(fstar)
+        small = np.array(list(primes_in(2, 10**4)), dtype=np.int64)
         violations = 0
         for fstar in polys:
             bad = 2 * abs(fstar.lc) * abs(discriminant(fstar))
-            for p in primes_in(2, 10**4):
-                if bad % p == 0:
-                    continue
-                ct = cycle_type_mod_p(fstar, p)
-                rc = count_roots_mod_p(fstar, p)
-                if sum(ct) != fstar.degree or ct.count(1) != rc:
-                    violations += 1
+            good = small[[bad % int(p) != 0 for p in small]]
+            _, types = census_block(fstar, good)
+            total = types @ np.arange(1, fstar.degree + 1)
+            roots = count_roots_block(fstar, good)
+            violations += int(((total != fstar.degree) | (types[:, 0] != roots)).sum())
         assert violations == 0
         gate.ok = True
 

@@ -283,6 +283,18 @@ def test_cap_can_be_raised():
     assert obj["range"]["hi"] == 1100000
 
 
+def test_degree_beyond_exact_int64_exits_2():
+    # 922 * p**2 < 2**63 <= 923 * p**2 at p = 99999989, the window's largest prime
+    window = ("--from", "99999900", "--to", "100000000", "--cap", "100000000")
+    for command in ("scan", "census"):
+        out, err = run_cli(command, "--poly", "x^923-2", *window, expect=2)
+        assert out == ""
+        assert err == ("error: degree 923 at p=99999989 is beyond exact int64 "
+                       "arithmetic (needs deg * p**2 < 2**63)\n")
+    out, _ = run_cli("scan", "--poly", "x^922-2", *window)
+    assert json.loads(out)["good_prime_count"] == 5
+
+
 def test_internal_check_failure_exits_3(monkeypatch):
     # cycle type (1, 1) at every prime: the parts miss the degree 3
     monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (

@@ -10,22 +10,18 @@ from hypothesis import strategies as st
 import intersective.modular as modular_mod
 
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
-from intersective.modular import (
+from intersective.modular import _batch_rank, _residues, census_block, count_roots_block
+from intersective.parse import InvariantViolation
+from intersective.primes import is_prime, primes_in
+from oracles import (
     FpPoly,
-    _batch_rank,
-    _residues,
-    census_block,
-    count_roots_block,
     count_roots_mod_p,
     cycle_type_mod_p,
     cycle_type_of_good_prime,
-    cycle_types_block,
     jacobi,
     reduce,
     roots_mod_p_bruteforce,
 )
-from intersective.parse import InvariantViolation
-from intersective.primes import is_prime, primes_in
 
 TRIPLE = multiply(
     multiply(IntPoly([1, 0, 1]), IntPoly([2, 0, 1])), IntPoly([-2, 0, 1])
@@ -155,11 +151,11 @@ def test_count_roots_block_huge_coefficients():
 
 
 def test_count_roots_block_int64_overflow_fallback():
-    p = 4294967311  # first prime beyond 2**32: forces the scalar fallback
+    p = 4294967311  # first prime beyond 2**32: 7 * p**2 >= 2**63 is refused
     assert is_prime(p)
     f = IntPoly([1, 2, 3, 4, 5, 6, 7, 1])
-    batch = count_roots_block(f, np.array([p], dtype=np.int64))
-    assert batch.tolist() == [count_roots_mod_p(f, p)]
+    with pytest.raises(ValueError, match=r"degree 7 at p=4294967311 .*2\*\*63"):
+        count_roots_block(f, np.array([5, p], dtype=np.int64))
 
 
 def test_count_roots_block_empty_and_linear():
@@ -283,7 +279,7 @@ def type_counts(ct, d):
 
 def assert_block_matches_oracle(fstar, primes):
     parr = np.array(primes, dtype=np.int64)
-    batch = cycle_types_block(fstar, parr)
+    batch = census_block(fstar, parr)[1]
     assert batch.shape == (len(primes), fstar.degree)
     for row, p in zip(batch.tolist(), primes):
         assert row == type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree), (
@@ -296,14 +292,14 @@ def good_primes(fstar, primes):
 
 
 def test_cycle_types_block_examples():
-    assert cycle_types_block(TRIPLE, np.array([7, 11], dtype=np.int64)).tolist() == [
+    assert census_block(TRIPLE, np.array([7, 11], dtype=np.int64))[1].tolist() == [
         [2, 2, 0, 0, 0, 0], type_counts(cycle_type_mod_p(TRIPLE, 11), 6)]
     cubic = IntPoly([-2, 0, 0, 1])
-    assert cycle_types_block(cubic, np.array([5, 7, 31], dtype=np.int64)).tolist() == [
+    assert census_block(cubic, np.array([5, 7, 31], dtype=np.int64))[1].tolist() == [
         [1, 1, 0], [0, 0, 1], [3, 0, 0]]
 
 
-def test_cycle_types_block_matches_oracle_on_criterion_7_polys():
+def test_census_block_matches_oracle_on_criterion_7_polys():
     # the polynomials of acceptance criterion 7, at every good p < 10^4
     rng = random.Random(70070)
     small = list(primes_in(2, 10**4))
@@ -350,29 +346,33 @@ def test_cycle_types_block_property(coeffs, lead, primes):
 
 
 def test_cycle_types_block_int64_fallback():
-    # 3 * p^2 >= 2^63 for p above 1.76e9: every lane takes the scalar path
+    # 3 * p^2 >= 2^63 for p above 1.76e9: the block is refused, not answered
     near = [p for p in range(2**31 - 200, 2**31) if is_prime(p)]
     assert near and 3 * min(near) ** 2 >= 1 << 63
-    assert_block_matches_oracle(IntPoly([-2, 0, 0, 1]), [5, 7, 31] + near)
+    parr = np.array([5, 7, 31] + near, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"degree 3 at p=2147483647 .*2\*\*63"):
+        census_block(IntPoly([-2, 0, 0, 1]), parr)
 
 
 def test_cycle_types_block_empty_and_linear():
     empty = np.empty(0, dtype=np.int64)
-    assert cycle_types_block(IntPoly([-2, 0, 0, 1]), empty).shape == (0, 3)
+    counts, types = census_block(IntPoly([-2, 0, 0, 1]), empty)
+    assert counts.shape == (0,) and types.shape == (0, 3)
     arr = np.array([3, 5, 7], dtype=np.int64)
-    assert cycle_types_block(IntPoly([4, 1]), arr).tolist() == [[1], [1], [1]]
+    counts, types = census_block(IntPoly([4, 1]), arr)
+    assert counts.tolist() == [1, 1, 1] and types.tolist() == [[1], [1], [1]]
     with pytest.raises(ValueError):
-        cycle_types_block(IntPoly([]), arr)
+        census_block(IntPoly([]), arr)
 
 
 def test_cycle_types_block_partial_chunk(monkeypatch):
     quintic = IntPoly([-1, -1, 0, 0, 0, 1])  # degree 5: D_2 is ranked per chunk
     primes = good_primes(quintic, list(primes_in(2, 200)))
-    whole = cycle_types_block(quintic, np.array(primes, dtype=np.int64))
+    whole = census_block(quintic, np.array(primes, dtype=np.int64))[1]
     monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 5 * 5**2)  # 5 lanes
     assert len(primes) % 5 != 0
     assert_block_matches_oracle(quintic, primes)
-    assert cycle_types_block(quintic, np.array(primes, dtype=np.int64)).tolist() == (
+    assert census_block(quintic, np.array(primes, dtype=np.int64))[1].tolist() == (
         whole.tolist())
 
 
@@ -494,13 +494,12 @@ def test_batch_rank_matches_python_elimination(data, d, edge, lanes):
 
 
 def test_census_block_matches_separate_kernels():
-    near = [p for p in range(2**31 - 200, 2**31) if is_prime(p)]  # int64 fallback
     for fstar in (IntPoly([-2, 0, 0, 1]), TRIPLE, IntPoly([4, 1])):
-        for primes in (good_primes(fstar, list(primes_in(2, 3000))), near, []):
+        for primes in (good_primes(fstar, list(primes_in(2, 3000))), []):
             parr = np.array(primes, dtype=np.int64)
-            counts, types = census_block(fstar, parr)
+            counts = census_block(fstar, parr)[0]
             assert counts.tolist() == count_roots_block(fstar, parr).tolist()
-            assert types.tolist() == cycle_types_block(fstar, parr).tolist()
+            assert_block_matches_oracle(fstar, primes)
 
 
 def test_count_roots_block_partial_chunk(monkeypatch):

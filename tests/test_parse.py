@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intersective.intpoly import IntPoly, multiply, to_text
 from intersective.parse import (
@@ -42,12 +44,16 @@ def test_rational_coefficients_cleared():
     assert parse_poly("-1/3 x + 1") == IntPoly((3, -1))
 
 
-def test_expression_roundtrip():
-    rng = random.Random(73)
-    for _ in range(200):
-        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
-        f = IntPoly(coeffs)
-        assert parse_poly(to_text(f)) == f
+coefficient = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=200, deadline=None)
+@example(coeffs=[10**30, -(10**30), 0, 1, -1, 10**30 - 1, 7, -8], lead=-(10**30))
+@given(coeffs=st.lists(coefficient, max_size=8), lead=coefficient.filter(bool))
+def test_expression_roundtrip(coeffs, lead):
+    # degree 0 to 8; unit, negative and 31-digit leading coefficients
+    f = IntPoly(coeffs + [lead])
+    assert parse_poly(to_text(f)) == f
 
 
 def test_product_roundtrip():

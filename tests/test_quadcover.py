@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective.modular import jacobi
 from intersective.primes import primes_in
 from intersective.quadcover import (
     Covers,
@@ -17,12 +16,11 @@ from intersective.quadcover import (
     build_square_classes,
     decide_cover,
     exact_root_distribution,
-    form_covers_p,
-    form_covers_p_exhaustive,
     form_discriminant,
     is_positive_definite,
     product_polynomial,
 )
+from oracles import form_covers_p, form_covers_p_exhaustive, jacobi
 from intersective.modular import _find_uncovered_prime
 from intersective.quadcover import _macwilliams, _weight_counts
 

@@ -6,7 +6,7 @@ import pytest
 
 import intersective.scanner as scanner_mod
 from intersective.intpoly import IntPoly, discriminant
-from intersective.modular import count_roots_block, count_roots_mod_p, cycle_type_mod_p
+from intersective.modular import count_roots_block
 from intersective.primes import PrimeRange, primes_in
 from intersective.quadcover import QuadForm
 from intersective.scanner import (
@@ -18,6 +18,7 @@ from intersective.scanner import (
     resolve_workers,
     scan,
 )
+from oracles import count_roots_mod_p, cycle_type_mod_p
 
 TRIPLE_FORMS = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
 TRIPLE_POLY = IntPoly((-4, 0, -4, 0, 1, 0, 1))
