@@ -43,7 +43,8 @@ _INT64_LIMIT = 1 << 63
 # Lanes per chunk times the d**2 entries per lane of a d x d matrix stays
 # below this, so each array of a batched rank step, and each chunk's
 # Berlekamp matrix in the cycle-type census, holds at most 512 KiB whatever
-# the number of primes.
+# the number of primes.  The powering takes chunks of 2 * this // d lanes,
+# so its product buffer of 2d - 1 rows stays below 2 MiB.
 _RANK_CHUNK_ENTRIES = 1 << 16
 
 
@@ -53,8 +54,7 @@ def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarra
     b = base % p
     e = exp.copy()
     while e.max() > 0:
-        odd = (e & 1).astype(bool)
-        acc[odd] = acc[odd] * b[odd] % p[odd]
+        np.copyto(acc, acc * b % p, where=(e & 1).astype(bool))
         b = b * b % p
         e >>= 1
     return acc
@@ -98,8 +98,9 @@ def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
 def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     """Number of distinct roots of f mod p for every p in primes, batched.
 
-    Every prime must leave the degree intact (p does not divide lc(f)).
-    The count is d - rank(M_h) over F_p, where M_h is multiplication by
+    Every prime must leave the degree intact (p does not divide lc(f));
+    a ValueError names the first that does not.  The count is
+    d - rank(M_h) over F_p, where M_h is multiplication by
     h = x^p - x on F_p[x]/(g), g = f mod p: its kernel has dimension
     deg gcd(g, h), so the count is exact for any g, squarefree or not.
     The ranks come from batched fraction-free elimination in lane
@@ -143,15 +144,17 @@ def _frobenius_block(
 
     Returns (p, G, H) coefficient-major: g = x^d + sum G[j] x^j and
     H[j] is the coefficient of x^j, each row holding one value per
-    prime.  Needs d >= 2 and no prime dividing lc(f); raises ValueError
-    when d * pmax**2 >= 2**63.
+    prime.  Needs d >= 2.  Raises ValueError naming the prime when a
+    prime divides lc(f), and when d * pmax**2 >= 2**63.  The powering
+    (_power_x) runs in lane chunks of 2 * _RANK_CHUNK_ENTRIES // d lanes.
     """
     d = f.degree
     n = int(primes.size)
     pmax = int(primes.max())
-    # Lazy bound: an entry of a product sums at most d products of reduced
-    # entries, each below p**2, and the lazy reduction (_reduce_mod_g)
-    # subtracts at most d - 1 more, so entries stay within d * p**2.
+    # Lazy bound: a product entry sums at most d products of residues in
+    # [0, p), so it lies in [0, d * (p - 1)**2], and the reduction of the
+    # square, or of x times the square (_reduce_mod_g), subtracts at most
+    # d more, each in [0, (p - 1)**2].  Entries stay within d * p**2.
     if d * pmax * pmax >= _INT64_LIMIT:
         raise ValueError(
             f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
@@ -160,36 +163,71 @@ def _frobenius_block(
     p = primes.astype(np.int64)
     cols = [_residues(c, p) for c in f.coeffs]
     lead = cols[-1]
-    assert int((lead == 0).sum()) == 0, "prime divides leading coefficient"
+    bad = np.flatnonzero(lead == 0)
+    if bad.size:
+        raise ValueError(f"p={int(p[bad[0]])} divides the leading coefficient")
     inv = _batch_powmod(lead, p - 2, p)
     # monic reduction g = x^d + sum G[j] x^j
     G = np.stack([col * inv % p for col in cols[:-1]])
+    chunk = max(1, 2 * _RANK_CHUNK_ENTRIES // d)
+    if n <= chunk:
+        return p, G, _power_x(p, G)
+    H = np.empty((d, n), dtype=np.int64)
+    for lo in range(0, n, chunk):
+        s = slice(lo, lo + chunk)
+        H[:, s] = _power_x(p[s], G[:, s])
+    return p, G, H
 
-    def square(acc: np.ndarray) -> np.ndarray:
-        t = np.empty((2 * d - 1, n), dtype=np.int64)
-        t[0::2] = acc * acc
+
+def _power_x(p: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """x^p mod g per lane, coefficient-major, by one product and one
+    reduction per exponent bit.
+
+    The powering starts from the monomial x^(p >> k0), k0 the least shift
+    with p >> k0 < d in every lane, which needs no reduction.  Each lower
+    bit squares, and where the bit is set the reduction takes x times
+    the square (_reduce_mod_g's x_lanes).
+    """
+    d, n = G.shape
+    pmax, k0 = int(p.max()), 0
+    while pmax >> k0 >= d:
+        k0 += 1
+    acc = np.zeros((d, n), dtype=np.int64)
+    acc[p >> k0, np.arange(n)] = 1
+    t = np.empty((2 * d - 1, n), dtype=np.int64)
+    w = np.empty((d - 1, n), dtype=np.int64)
+    two = np.empty(n, dtype=np.int64)
+    for k in range(k0 - 1, -1, -1):
+        np.multiply(acc, acc, out=t[0::2])
         t[1::2] = 0
         for i in range(d - 1):
-            t[2 * i + 1 : i + d] += (2 * acc[i]) * acc[i + 1 :]
-        return _reduce_mod_g(t, G, p)
+            np.add(acc[i], acc[i], out=two)
+            np.multiply(acc[i + 1 :], two, out=w[i:])
+            t[2 * i + 1 : i + d] += w[i:]
+        x_lanes = -((p >> k) & 1)
+        _reduce_mod_g(t, G, p, acc, x_lanes if x_lanes.any() else None)
+    return acc
 
-    acc = np.zeros((d, n), dtype=np.int64)
-    acc[0] = 1
-    for k in range(pmax.bit_length() - 1, -1, -1):
-        acc = square(acc)
-        mask = ((p >> k) & 1).astype(bool)
-        if mask.any():
-            acc = np.where(mask, _mul_by_x(acc, G, p), acc)
-    return p, G, acc
+
+def _mod(a: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a mod p in [0, p), exact for any int64 a: a signed fmod, then p
+    added where the residue is negative.  a is overwritten, and out must
+    not share memory with it."""
+    r = np.fmod(a, p, out=out)
+    np.right_shift(r, 63, out=a)
+    a &= p
+    r += a
+    return r
 
 
 def _mul_by_x(a: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * a mod g per lane, coefficient-major, a reduced."""
+    """x * a mod g per lane, coefficient-major, as residues in (-p, p);
+    a holds residues in (-p, p)."""
     out = np.empty_like(a)
     out[1:] = a[:-1]
     out[0] = 0
     out -= a[-1] * G
-    out %= p
+    np.fmod(out, p, out=out)
     return out
 
 
@@ -202,19 +240,45 @@ def _mulmod(a: np.ndarray, b: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.nd
     return _reduce_mod_g(t, G, p)
 
 
-def _reduce_mod_g(t: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Reduce rows t of degree < 2d - 1 modulo monic g; t is consumed.
+def _reduce_mod_g(
+    t: np.ndarray,
+    G: np.ndarray,
+    p: np.ndarray,
+    out: np.ndarray | None = None,
+    x_lanes: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rows t of degree < 2d - 1 modulo monic g, into [0, p); t is consumed,
+    and out, when given, also holds the products of G until the end.
 
-    Entries of t may be unreduced sums of at most d products below p**2.
-    Reduction is lazy: each step takes % p of the leading row only and
-    subtracts below p**2 from the d rows beneath it, so an entry gets at
-    most d - 1 subtractions and stays within d * p**2 in absolute value.
-    The remainder is reduced once at the end.
+    x_lanes, when given, holds -1 (all bits set) in the lanes that are
+    reduced as x * t and 0 in the others.  Entries of t may be unreduced
+    sums of at most d products of residues in [0, p).  Reduction is lazy:
+    each step takes the residue in [0, p) of the leading row only (_mod)
+    and subtracts its products with G, each in [0, (p - 1)**2], from the
+    d rows beneath it.  x * t has d leading rows (x^(2d - 1) down to x^d)
+    and t has d - 1; coefficient m < d of the remainder gets at most
+    m + 1 <= d subtractions, so every entry stays within d * p**2 in
+    absolute value.  The remainder is reduced once at the end.
     """
     d = G.shape[0]
-    for k in range(2 * d - 2, d - 1, -1):
-        t[k - d : k] -= (t[k] % p) * G
-    return t[:d] % p
+    r = np.empty_like(p)
+    w = np.empty_like(G) if out is None else out  # the products of G
+    for k in range(t.shape[0] - 1, d - 1, -1):
+        np.multiply(G, _mod(t[k], p, out=r), out=w)
+        t[k - d : k] -= w
+    if x_lanes is not None:
+        # row d - 1 of t is the lead row x^d of x * t, and in those lanes
+        # the rows below it move up one (an xor blend)
+        _mod(t[d - 1].copy(), p, out=r)
+        r &= x_lanes
+        np.multiply(G, r, out=w)
+        for j in range(d - 1, 0, -1):
+            np.bitwise_xor(t[j], t[j - 1], out=r)
+            r &= x_lanes
+            t[j] ^= r
+        t[0] &= ~x_lanes
+        t[:d] -= w
+    return _mod(t[:d], p, out=out)
 
 
 def _root_counts(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -10,11 +10,21 @@ from hypothesis import strategies as st
 import intersective.modular as modular_mod
 
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
-from intersective.modular import _batch_rank, _residues, census_block, count_roots_block
+from intersective.modular import (
+    _batch_powmod,
+    _batch_rank,
+    _frobenius_block,
+    _mod,
+    _residues,
+    census_block,
+    count_roots_block,
+)
 from intersective.parse import InvariantViolation
 from intersective.primes import is_prime, primes_in
 from oracles import (
     FpPoly,
+    _fp_monic,
+    _fp_pow_x,
     count_roots_mod_p,
     cycle_type_mod_p,
     cycle_type_of_good_prime,
@@ -225,6 +235,69 @@ def test_block_kernels_at_int64_edge(d):
         fstar = squarefree_part(f)
         if fstar.degree >= 2:
             assert_block_matches_oracle(fstar, good_primes(fstar, primes))
+
+
+@pytest.mark.parametrize("kernel", [count_roots_block, census_block])
+def test_block_kernels_refuse_a_prime_dividing_the_lead(kernel):
+    # 3x^2 + 1 = 1 mod 3 has no root: the degree drops, so p = 3 is refused
+    with pytest.raises(ValueError, match=r"p=3 divides the leading coefficient"):
+        kernel(IntPoly([1, 0, 3]), np.array([3, 5, 7], dtype=np.int64))
+
+
+def assert_powering_matches_oracle(f, primes):
+    p, G, H = _frobenius_block(f, np.array(primes, dtype=np.int64))
+    assert H.dtype == np.int64 and H.shape == (f.degree, len(primes))
+    for i, q in enumerate(primes):
+        g = _fp_monic([c % q for c in f.coeffs], q)
+        assert G[:, i].tolist() == g[:-1], (f, q)
+        h = _fp_pow_x(q, g, q)
+        assert H[:, i].tolist() == h + [0] * (f.degree - len(h)), (f, q)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 10])
+@pytest.mark.parametrize("chunk_lanes", [None, 2])
+def test_frobenius_powering_matches_oracle(d, chunk_lanes, monkeypatch):
+    if chunk_lanes:
+        monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", chunk_lanes * d // 2)
+    below_d = [q for q in (2, 3, 5, 7) if q < d]  # x^p itself: the monomial start
+    mixed = sorted(
+        {2, 3, 5, 7}
+        | {8191, 131071, 524287}  # every bit set
+        | {257, 65537}  # one low bit set
+        | set(largest_batched_primes(d, 3))  # the int64 edge
+    )
+    rng = random.Random(d)
+    for _ in range(3):
+        while True:
+            f = random_poly_of_degree(rng, d, 10**6)
+            if all(f.lc % q for q in mixed):
+                break
+        for primes in (mixed, below_d):
+            if primes:
+                assert_powering_matches_oracle(f, primes)
+
+
+def test_mod_matches_python_mod_at_the_int64_edge():
+    d, p = 922, 99999989  # d * p**2 < 2**63 <= (d + 1) * p**2
+    top = d * p * p - 1
+    assert top < 1 << 63 <= (d + 1) * p * p
+    values = [top, -top, 1, -1, 0]
+    for k in (1, 2, d * p - 1):
+        values += [k * p, -k * p, k * p + 1, -k * p - 1]
+    a = np.array(values, dtype=np.int64)
+    pa = np.full(a.size, p, dtype=np.int64)
+    assert _mod(a.copy(), pa).tolist() == [v % p for v in values]
+    rows = np.stack([a, a[::-1]])  # one residue per lane, coefficient-major
+    assert _mod(rows.copy(), pa).tolist() == [[v % p for v in r] for r in rows.tolist()]
+
+
+def test_batch_powmod_matches_pow():
+    rng = random.Random(5)
+    primes = list(primes_in(2, 5000)) + [99999989, largest_batched_primes(2, 1)[0]]
+    base = [rng.randrange(-(10**9), 10**9) for _ in primes]
+    exp = [rng.randrange(0, 1 << 20) for _ in primes]
+    got = _batch_powmod(*(np.array(v, dtype=np.int64) for v in (base, exp, primes)))
+    assert got.tolist() == [pow(b, e, q) for b, e, q in zip(base, exp, primes)]
 
 
 def test_cycle_type_examples():

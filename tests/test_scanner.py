@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
 from intersective.intpoly import IntPoly, discriminant
 from intersective.modular import count_roots_block
@@ -118,9 +119,14 @@ def test_scan_of_a_25_digit_coefficient_matches_oracles():
 
 def test_reports_identical_across_worker_counts():
     rng = PrimeRange(2, 600_000)  # spans several blocks
-    f = IntPoly((1, 0, 1))
-    reports = [scan(f, rng, workers=w) for w in (1, 2, 8)]
-    assert reports[0] == reports[1] == reports[2]
+    # (x^2+1)(x^2+2)(x^2-2)(x^2+3)(x^2-5) has degree 10: the primes of a
+    # block are powered in more than one lane chunk
+    tenth = IntPoly((60, 0, 68, 0, -11, 0, -21, 0, -1, 0, 1))
+    block = sum(1 for _ in primes_in(2, scanner_mod.BLOCK_SPAN))
+    assert block > 2 * modular_mod._RANK_CHUNK_ENTRIES // tenth.degree
+    for f in (IntPoly((1, 0, 1)), tenth):
+        reports = [scan(f, rng, workers=w) for w in (1, 2, 8)]
+        assert reports[0] == reports[1] == reports[2]
 
 
 def test_bad_primes_of_a_huge_discriminant():
