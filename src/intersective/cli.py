@@ -19,6 +19,12 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+# No kernel does BLAS work (the only matrix products are on int64), yet
+# OpenBLAS starts an idle worker thread that spins when numpy loads.  The
+# CLI owns its process, so it pins OpenBLAS to one thread before any
+# handler can import numpy; an explicit OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import reports
 from .parse import (
     DEFAULT_SCAN_CAP,

@@ -61,9 +61,14 @@ def resolve_workers(workers: int | None = None) -> int:
         return workers
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        w = int(env)
+        try:
+            w = int(env)
+        except ValueError:
+            w = 0
         if w < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be positive")
+            raise ValueError(
+                f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}"
+            )
         return w
     return min(8, os.cpu_count() or 1)
 

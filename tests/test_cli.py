@@ -276,6 +276,15 @@ def test_usage_errors_exit_2():
     run_cli("cover", "--forms-file", "/no/such/file", expect=2)
 
 
+def test_malformed_thread_count_names_the_variable(monkeypatch):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("INTERSECTIVE_THREADS", value)
+        out, err = run_cli("scan", "--poly", "x^2+1", "--to", "1000", expect=2)
+        assert out == ""
+        assert err == ("error: INTERSECTIVE_THREADS must be a positive integer, "
+                       f"got '{value}'\n")
+
+
 def test_cap_can_be_raised():
     obj = run_json(
         "scan", "--poly", "[1,0,1]", "--to", "1100000", "--cap", "1100000"

@@ -159,6 +159,10 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("INTERSECTIVE_THREADS", "0")
     with pytest.raises(ValueError):
         resolve_workers()
+    monkeypatch.setenv("INTERSECTIVE_THREADS", "abc")
+    with pytest.raises(ValueError, match="INTERSECTIVE_THREADS must be a "
+                       "positive integer, got 'abc'"):
+        resolve_workers()
     monkeypatch.delenv("INTERSECTIVE_THREADS")
     assert resolve_workers() >= 1
 

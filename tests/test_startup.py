@@ -10,17 +10,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 FORMS_20 = [f"1,0,{-p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
                                   41, 43, 47, 53, 59, 61, 67, 71)]
 
 
-def run_python(code):
+def run_python(code, **env_overrides):
     """Run code in a new interpreter with the package on the path and
-    return the last line it prints, parsed as JSON."""
+    return the last line it prints, parsed as JSON.  An override of None
+    removes that variable from the child's environment."""
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get(
         "PYTHONPATH", ""))
+    for name, value in env_overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -69,6 +77,42 @@ def test_prime_array_subcommands_load_numpy():
     code, out, loaded = cli_loads_numpy("scan", "--poly", "x^2+1", "--to", "100")
     assert code == 0 and loaded
     assert json.loads(out)["histogram"] == {"0": 13, "2": 11}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_cli_runs_numpy_jobs_on_one_thread():
+    # the pin keeps OpenBLAS from starting its worker thread; a census to
+    # 10^5 is one block, so the scan pool starts no thread either.  The
+    # test process may hold the pin already (other tests import the CLI),
+    # so the child starts without it.
+    threads = run_python(
+        "import contextlib, io, json\n"
+        "from intersective.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['census', '--poly', 'x^5-x-1', '--to', '100000']) == 0\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(json.dumps(int(status.split('Threads:')[1].split()[0])))\n",
+        OPENBLAS_NUM_THREADS=None,
+    )
+    assert threads == 1
+
+
+def test_blas_thread_pin_leaves_callers_alone():
+    # an explicit setting wins over the CLI's default
+    assert run_python(
+        "import json, os, intersective.cli\n"
+        "print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))\n",
+        OPENBLAS_NUM_THREADS="2",
+    ) == "2"
+    # the library, numpy kernels included, never touches the environment
+    assert run_python(
+        "import json, os, intersective\n"
+        "intersective.scan(intersective.IntPoly((1, 0, 1)),"
+        " intersective.PrimeRange(2, 1000))\n"
+        "print(json.dumps('OPENBLAS_NUM_THREADS' in os.environ))\n",
+        OPENBLAS_NUM_THREADS=None,
+    ) is False
 
 
 def test_every_export_resolves():
