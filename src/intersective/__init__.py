@@ -20,7 +20,7 @@ _EXPORTS = {
         "squarefree_part",
         "to_text",
     ),
-    "primes": ("PrimeRange", "primes_in", "is_prime"),
+    "primes": ("PrimeRange", "primes_in"),
     "sturm": ("Interval", "count_real_roots", "isolate_real_roots"),
     "quadcover": (
         "QuadForm",

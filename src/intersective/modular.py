@@ -2,25 +2,27 @@
 cycle types.
 
 The root count of f mod p is deg gcd(x^p - x, f) over F_p, so only
-distinct roots are seen.  Over a block of primes it comes from a batched
-rank over F_p: d - rank of multiplication by x^p - x on F_p[x]/(f).
+distinct roots are seen.  Over a block of primes it comes from one
+lockstep gcd-degree kernel run on x^p - x mod f in every lane.
 
 The cycle type of a squarefree polynomial at a good prime is the multiset
 of irreducible factor degrees.  Over a block of primes it comes from the
 distinct-degree counts D_k = deg gcd(f, x^(p^k) - x) = sum of m * c_m
-over m dividing k, each again d - rank of a multiplication matrix, for
-k <= deg f / 2.  Moebius inversion gives the counts c_m of factors of
-degree m <= deg f / 2, and the degree left over is one factor.
-census_block gives root counts and cycle types from one powering of
-x^p mod f, and D_1 is the root count.
+over m dividing k, each from the same gcd kernel, for k <= deg f / 2.
+Moebius inversion gives the counts c_m of factors of degree m <= deg f / 2,
+and the degree left over is one factor.  census_block gives root counts
+and cycle types from one powering of x^p mod f, and D_1 is the root count.
 
-Every rank goes through one kernel, _batch_rank: lanes innermost, forward
-elimination with full pivoting in lockstep across the lanes.  The
-arithmetic is exact int64 while deg f * p**2 < 2**63; a block with a
-larger prime is refused with a ValueError naming the degree and the
-prime (_frobenius_block), never answered another way.  The scalar
-routines the kernels are checked against live with the tests, in
-tests/oracles.py.
+Every gcd degree goes through one kernel, _gcd_degrees: the polynomial
+divsteps of Bernstein and Yang ("Fast constant-time gcd computation and
+modular inversion", TCHES 2019(3)), 2d - 1 branch-free steps run in
+lockstep across the lanes, lanes innermost, O(d^2) per lane.  f is made
+monic without a modular inverse: F(y) = c^(d-1) f(y/c), c = lc(f), has the
+same root count and factor degrees at every p not dividing c.  The
+powering is exact int64 while deg f * p**2 < 2**63; a block with a larger
+prime is refused with a ValueError naming the degree and the prime
+(_frobenius_block), never answered another way.  The scalar routines the
+kernels are checked against live with the tests, in tests/oracles.py.
 
 Exact residues of big integers mod prime arrays (_residues) serve the
 reduction of the coefficients, the scanner's bad-prime filter and
@@ -36,16 +38,17 @@ from .intpoly import IntPoly
 from .parse import InvariantViolation
 from .primes import iter_prime_arrays
 
-# Batched arithmetic keeps every int64 entry within deg * p**2 in absolute
-# value (see _frobenius_block), so it stays exact while deg * p**2 < 2**63.
+# The powering keeps every int64 entry within deg * p**2 in absolute value
+# (see _frobenius_block), and the gcd kernel within 2 * p**2, so batched
+# arithmetic stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
-# Lanes per chunk times the d**2 entries per lane of a d x d matrix stays
-# below this, so each array of a batched rank step, and each chunk's
-# Berlekamp matrix in the cycle-type census, holds at most 512 KiB whatever
-# the number of primes.  The powering takes chunks of 2 * this // d lanes,
-# so its product buffer of 2d - 1 rows stays below 2 MiB.
-_RANK_CHUNK_ENTRIES = 1 << 16
+# Lanes per chunk times the entries per lane stays below this: d + 1 per
+# row of the gcd kernel and d**2 per Berlekamp matrix of the cycle-type
+# census, so each of their arrays holds at most 512 KiB whatever the number
+# of primes.  The powering takes chunks of 2 * this // d lanes, so its
+# product buffer of 2d - 1 rows stays below 2 MiB.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -100,11 +103,11 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
 
     Every prime must leave the degree intact (p does not divide lc(f));
     a ValueError names the first that does not.  The count is
-    d - rank(M_h) over F_p, where M_h is multiplication by
-    h = x^p - x on F_p[x]/(g), g = f mod p: its kernel has dimension
-    deg gcd(g, h), so the count is exact for any g, squarefree or not.
-    The ranks come from batched fraction-free elimination in lane
-    chunks.  Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
+    deg gcd(g, x^p - x) over F_p, g the monic reduction of f
+    (_frobenius_block), so it is exact for any g, squarefree or not.
+    The gcd degrees come from the lockstep divsteps kernel
+    (_gcd_degrees).  Raises ValueError when d >= 2 and
+    d * pmax**2 >= 2**63.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
@@ -122,7 +125,7 @@ def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Entry [i, m - 1] of the types is the number of irreducible factors
     of degree m of f mod primes[i].  Both come from one powering of
     x^p mod g: the distinct-degree counts D_k = deg gcd(g, x^(p^k) - x)
-    for k <= d/2 are d - rank of multiplication by x^(p^k) - x, Moebius
+    for k <= d/2 come from the gcd kernel (_gcd_degrees), Moebius
     inversion over divisors yields the counts (see _cycle_types), and
     the root count is D_1, the 1-part count.  Raises ValueError when
     d >= 2 and d * pmax**2 >= 2**63.
@@ -142,11 +145,15 @@ def _frobenius_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monic reductions g and H = x^p mod g at every prime, batched.
 
-    Returns (p, G, H) coefficient-major: g = x^d + sum G[j] x^j and
-    H[j] is the coefficient of x^j, each row holding one value per
-    prime.  Needs d >= 2.  Raises ValueError naming the prime when a
-    prime divides lc(f), and when d * pmax**2 >= 2**63.  The powering
-    (_power_x) runs in lane chunks of 2 * _RANK_CHUNK_ENTRIES // d lanes.
+    g is F(y) = c^(d-1) f(y/c) mod p, c = lc(f), monic with coefficients
+    a_j c^(d-1-j): no modular inverse is needed.  At p not dividing c its
+    roots are c times those of f mod p, so it has the same root count,
+    distinct-degree counts and cycle type.  Returns (p, G, H)
+    coefficient-major: g = x^d + sum G[j] x^j and H[j] is the coefficient
+    of x^j, each row holding one value per prime.  Needs d >= 2.  Raises
+    ValueError naming the prime when a prime divides lc(f), and when
+    d * pmax**2 >= 2**63.  The powering (_power_x) runs in lane chunks of
+    2 * _CHUNK_ENTRIES // d lanes.
     """
     d = f.degree
     n = int(primes.size)
@@ -166,10 +173,13 @@ def _frobenius_block(
     bad = np.flatnonzero(lead == 0)
     if bad.size:
         raise ValueError(f"p={int(p[bad[0]])} divides the leading coefficient")
-    inv = _batch_powmod(lead, p - 2, p)
-    # monic reduction g = x^d + sum G[j] x^j
-    G = np.stack([col * inv % p for col in cols[:-1]])
-    chunk = max(1, 2 * _RANK_CHUNK_ENTRIES // d)
+    # G[j] = a_j * c^(d-1-j), by a running power of c
+    G = np.stack(cols[:-1])
+    power = lead
+    for j in range(d - 2, -1, -1):
+        G[j] = G[j] * power % p
+        power = power * lead % p
+    chunk = max(1, 2 * _CHUNK_ENTRIES // d)
     if n <= chunk:
         return p, G, _power_x(p, G)
     H = np.empty((d, n), dtype=np.int64)
@@ -218,17 +228,6 @@ def _mod(a: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     a &= p
     r += a
     return r
-
-
-def _mul_by_x(a: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * a mod g per lane, coefficient-major, as residues in (-p, p);
-    a holds residues in (-p, p)."""
-    out = np.empty_like(a)
-    out[1:] = a[:-1]
-    out[0] = 0
-    out -= a[-1] * G
-    np.fmod(out, p, out=out)
-    return out
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, G: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -283,7 +282,7 @@ def _reduce_mod_g(
 
 def _root_counts(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     """deg gcd(g, x^p - x) per lane, from H = x^p mod g."""
-    return _kernel_dims(p, G, _minus_x(H, p))
+    return _gcd_degrees(p, G, _minus_x(H, p))
 
 
 def _minus_x(H: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -293,36 +292,76 @@ def _minus_x(H: np.ndarray, p: np.ndarray) -> np.ndarray:
     return h
 
 
-def _kernel_dims(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """deg gcd(g, h) per lane: d - rank of multiplication by h on F_p[x]/(g).
+def _gcd_degrees(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """deg gcd(g, h) per lane, g = x^d + sum G[j] x^j and deg h < d.
 
-    The matrix M_h has columns x^j * h mod g.  Lanes with h = 0 need no
-    rank; the others run in chunks of _RANK_CHUNK_ENTRIES // d**2 lanes.
+    Lanes with h = 0 have gcd g; the others run _divsteps in chunks of
+    _CHUNK_ENTRIES // (d + 1) lanes.
     """
     d, n = h.shape
-    dims = np.full(n, d, dtype=np.int64)
+    degs = np.full(n, d, dtype=np.int64)
     rest = np.flatnonzero(h.any(axis=0))
-    chunk = max(1, _RANK_CHUNK_ENTRIES // d**2)
+    chunk = max(1, _CHUNK_ENTRIES // (d + 1))
     for lo in range(0, rest.size, chunk):
         idx = rest[lo : lo + chunk]
-        q, g, col = p[idx], G[:, idx], h[:, idx]
-        M = np.empty((d, d, idx.size), dtype=np.int64)
-        for j in range(d):
-            M[:, j] = col
-            if j + 1 < d:
-                col = _mul_by_x(col, g, q)
-        dims[idx] = d - _batch_rank(M, q)
-    return dims
+        degs[idx] = _divsteps(p[idx], G[:, idx], h[:, idx])
+    return degs
+
+
+def _divsteps(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """deg gcd(g, h) per lane by 2d - 1 polynomial divsteps in lockstep.
+
+    Bernstein-Yang: from delta = 1, f = x^d g(1/x) (so f[0] = 1) and
+    g' = x^(d-1) h(1/x), each step replaces g' by (f[0] g' - g'[0] f) / x,
+    and where delta > 0 and g'[0] != 0 it first moves g' into f and
+    negates delta; then delta grows by 1.  After 2d - 1 steps g' = 0 and
+    delta = 2 deg gcd(g, h).  The new g' is the negated divstep where the
+    lanes swap, which changes no decision, since only f[0] != 0, g'[0] != 0
+    and delta steer the steps.  Entries are fmod residues in (-p, p), so
+    every product difference stays below 2 p**2 < 2**63.  A step reads the
+    first 2d - 1 - step coefficients only, so rows are cut to that length.
+    The swap is an xor blend under a mask of -1 (all bits set) in the
+    lanes that swap, as is the negation of delta.
+    """
+    d, n = G.shape
+    f = np.empty((d + 1, n), dtype=np.int64)
+    f[0] = 1
+    f[1:] = G[::-1]
+    g = np.zeros((d + 1, n), dtype=np.int64)
+    g[:d] = h[::-1]
+    nxt = np.zeros_like(g)  # row d stays 0, the coefficient past deg f
+    w = np.empty_like(g)
+    delta = np.ones(n, dtype=np.int64)
+    mask = np.empty(n, dtype=np.int64)
+    for step in range(2 * d - 1):
+        rows = min(d + 1, 2 * d - 1 - step)
+        t, u = nxt[: rows - 1], w[: rows - 1]
+        np.multiply(g[1:rows], f[0], out=t)
+        np.multiply(f[1:rows], g[0], out=u)
+        t -= u
+        np.fmod(t, p, out=t)
+        mask[:] = (delta > 0) & (g[0] != 0)
+        np.negative(mask, out=mask)
+        u = w[:rows]
+        np.bitwise_xor(f[:rows], g[:rows], out=u)
+        u &= mask
+        f[:rows] ^= u
+        delta ^= mask  # (delta ^ -1) - (-1) = -delta
+        delta -= mask
+        delta += 1
+        g, nxt = nxt, g
+    return delta >> 1
 
 
 def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Counts per factor degree from the distinct-degree counts D_k.
 
-    D_k = deg gcd(g, x^(p^k) - x) = sum of m * c_m over m dividing k.
-    D_1 is the root count.  For k = 2..d/2, H_k = x^(p^k) mod g is Q H_(k-1)
-    with Q the Berlekamp matrix (columns x^(jp) mod g), built per lane
-    chunk.  Moebius inversion gives m * c_m for m <= d/2; the degree left
-    over is either 0 or one factor of degree above d/2.  Raises
+    D_k = deg gcd(g, x^(p^k) - x) = sum of m * c_m over m dividing k, each
+    from _gcd_degrees.  D_1 is the root count.  For k = 2..d/2,
+    H_k = x^(p^k) mod g is Q H_(k-1) with Q the Berlekamp matrix (columns
+    x^(jp) mod g), built per chunk of _CHUNK_ENTRIES // d**2 lanes.
+    Moebius inversion gives m * c_m for m <= d/2; the degree left over is
+    either 0 or one factor of degree above d/2.  Raises
     InvariantViolation, naming the prime, when m * c_m is not a multiple
     of m or the leftover degree is negative or at most d/2.
     """
@@ -330,7 +369,7 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     half = d // 2
     D = np.empty((half, n), dtype=np.int64)
     D[0] = _root_counts(p, G, H)
-    chunk = max(1, _RANK_CHUNK_ENTRIES // d**2)
+    chunk = max(1, _CHUNK_ENTRIES // d**2)
     for lo in range(0, n if half > 1 else 0, chunk):  # d <= 3 needs D_1 alone
         s = slice(lo, lo + chunk)
         q, g, Hk = p[s], G[:, s], H[:, s]
@@ -344,7 +383,7 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
         for k in range(2, half + 1):
             # each sum holds d products below p**2
             Hk = np.einsum("ijl,jl->il", Q, Hk) % q
-            D[k - 1, s] = _kernel_dims(q, g, _minus_x(Hk, q))
+            D[k - 1, s] = _gcd_degrees(q, g, _minus_x(Hk, q))
     mc = np.empty_like(D)  # mc[m - 1] = m * c_m
     for m in range(1, half + 1):
         mc[m - 1] = sum(_moebius(m // e) * D[e - 1] for e in range(1, m + 1) if m % e == 0)
@@ -362,48 +401,6 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     big = np.flatnonzero(left)
     types[big, left[big] - 1] = 1
     return types
-
-
-def _batch_rank(M: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank over F_p[i] of every matrix M[:, :, i]; M is consumed.
-
-    Entries are residues in (-p, p) and 2 * p**2 < 2**63.  Lanes are
-    innermost, so every row operation is one contiguous pass over the
-    lanes.  Forward elimination with full pivoting, in lockstep: at each
-    step a lane takes a nonzero entry of its remaining block (the corner
-    if it is nonzero), swaps it to the corner, and updates the rows below,
-    fraction-free, as row <- a * row - row[0] * pivot_row, so entries stay
-    below 2 * p**2 before the signed reduction (fmod).  The pivot row and
-    column are then dropped.  A lane whose block is zero has pivot a = 0,
-    so its block stays zero.
-    """
-    rank = np.zeros(p.size, dtype=np.int64)
-    while M.shape[0]:
-        s = M.shape[0]
-        has = M[0, 0] != 0
-        search = np.flatnonzero(~has)
-        if search.size:
-            nz = (M[:, :, search] != 0).reshape(s * s, -1)
-            pos = nz.argmax(axis=0)
-            found = nz[pos, np.arange(search.size)]
-            moved, pos = search[found], pos[found]
-            has[moved] = True
-            r, c = np.divmod(pos, s)
-            top = M[0][:, moved]
-            M[0][:, moved] = M[r, :, moved].T
-            M[r, :, moved] = top.T
-            left = M[:, 0][:, moved]
-            M[:, 0][:, moved] = M[:, c, moved]
-            M[:, c, moved] = left
-        if not has.any():
-            break
-        rank += has
-        rest = M[1:, 1:]
-        rest *= M[0, 0]
-        rest -= M[1:, 0, None] * M[0, None, 1:]
-        np.fmod(rest, p, out=rest)
-        M = rest
-    return rank
 
 
 def _moebius(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Prime enumeration by segmented sieve and deterministic 64-bit primality."""
+"""Prime enumeration by segmented sieve."""
 
 from __future__ import annotations
 
@@ -17,9 +17,6 @@ MAX_SIEVE_BOUND = 10**12
 
 _U64 = 1 << 64
 
-# Witness set with no strong pseudoprime below 2**64.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 @dataclass(frozen=True)
 class PrimeRange:
@@ -35,42 +32,6 @@ class PrimeRange:
             raise ValueError(f"empty prime range [{self.lo}, {self.hi}]")
         if self.hi >= _U64:
             raise ValueError("prime range end exceeds 64-bit magnitude")
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2**64.
-
-    Miller-Rabin with a fixed witness set that is exact over the full
-    64-bit range; larger inputs are rejected rather than answered
-    probabilistically.
-    """
-    if n < 0:
-        raise ValueError("primality is defined for nonnegative integers")
-    if n >= _U64:
-        raise ValueError("is_prime only certifies integers below 2**64")
-    if n < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if n == w:
-            return True
-        if n % w == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _odd_base_primes(limit: int) -> np.ndarray:

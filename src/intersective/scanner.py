@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,6 +176,9 @@ def scan(
             for blo, bhi in blocks
         ]
     else:
+        # imported here: a one-block job never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             partials = list(
                 pool.map(

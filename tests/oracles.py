@@ -2,7 +2,8 @@
 
 Root counts by deg gcd(x^p - x, f mod p), roots by brute force, cycle
 types by distinct-degree factorization, the Jacobi symbol, and covering
-of a prime by a quadratic form, one prime at a time on Python ints.
+of a prime by a quadratic form, one prime at a time on Python ints; and
+deterministic Miller-Rabin primality below 2**64.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from intersective.intpoly import IntPoly, discriminant, squarefree_part
 from intersective.quadcover import QuadForm, form_discriminant
 
 BRUTE_FORCE_MAX_P = 10**4
+
+_U64 = 1 << 64
+
+# Witness set with no strong pseudoprime below 2**64.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -253,3 +259,39 @@ def form_covers_p(q: QuadForm, p: int) -> bool:
     if p == 2 or q.a % p == 0:
         return form_covers_p_exhaustive(q, p)
     return jacobi(form_discriminant(q), p) != -1
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 2**64.
+
+    Miller-Rabin with a fixed witness set that is exact over the full
+    64-bit range; larger inputs are rejected rather than answered
+    probabilistically.
+    """
+    if n < 0:
+        raise ValueError("primality is defined for nonnegative integers")
+    if n >= _U64:
+        raise ValueError("is_prime only certifies integers below 2**64")
+    if n < 2:
+        return False
+    for w in _MR_WITNESSES:
+        if n == w:
+            return True
+        if n % w == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for w in _MR_WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

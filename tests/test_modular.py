@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -12,22 +12,24 @@ import intersective.modular as modular_mod
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
     _batch_powmod,
-    _batch_rank,
     _frobenius_block,
+    _gcd_degrees,
     _mod,
     _residues,
     census_block,
     count_roots_block,
 )
 from intersective.parse import InvariantViolation
-from intersective.primes import is_prime, primes_in
+from intersective.primes import primes_in
 from oracles import (
     FpPoly,
-    _fp_monic,
+    _fp_gcd_monic,
     _fp_pow_x,
+    _trim,
     count_roots_mod_p,
     cycle_type_mod_p,
     cycle_type_of_good_prime,
+    is_prime,
     jacobi,
     reduce,
     roots_mod_p_bruteforce,
@@ -245,20 +247,22 @@ def test_block_kernels_refuse_a_prime_dividing_the_lead(kernel):
 
 
 def assert_powering_matches_oracle(f, primes):
+    # g is F(y) = c^(d-1) f(y/c) mod q, c = lc(f): monic without an inverse
     p, G, H = _frobenius_block(f, np.array(primes, dtype=np.int64))
-    assert H.dtype == np.int64 and H.shape == (f.degree, len(primes))
+    d = f.degree
+    assert H.dtype == np.int64 and H.shape == (d, len(primes))
     for i, q in enumerate(primes):
-        g = _fp_monic([c % q for c in f.coeffs], q)
-        assert G[:, i].tolist() == g[:-1], (f, q)
-        h = _fp_pow_x(q, g, q)
-        assert H[:, i].tolist() == h + [0] * (f.degree - len(h)), (f, q)
+        g = [a * pow(f.lc, d - 1 - j, q) % q for j, a in enumerate(f.coeffs[:-1])]
+        assert G[:, i].tolist() == g, (f, q)
+        h = _fp_pow_x(q, g + [1], q)
+        assert H[:, i].tolist() == h + [0] * (d - len(h)), (f, q)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 10])
 @pytest.mark.parametrize("chunk_lanes", [None, 2])
 def test_frobenius_powering_matches_oracle(d, chunk_lanes, monkeypatch):
     if chunk_lanes:
-        monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", chunk_lanes * d // 2)
+        monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", chunk_lanes * d // 2)
     below_d = [q for q in (2, 3, 5, 7) if q < d]  # x^p itself: the monomial start
     mixed = sorted(
         {2, 3, 5, 7}
@@ -439,11 +443,12 @@ def test_cycle_types_block_empty_and_linear():
 
 
 def test_cycle_types_block_partial_chunk(monkeypatch):
-    quintic = IntPoly([-1, -1, 0, 0, 0, 1])  # degree 5: D_2 is ranked per chunk
+    quintic = IntPoly([-1, -1, 0, 0, 0, 1])  # degree 5: D_2 is counted per chunk
     primes = good_primes(quintic, list(primes_in(2, 200)))
     whole = census_block(quintic, np.array(primes, dtype=np.int64))[1]
-    monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 5 * 5**2)  # 5 lanes
-    assert len(primes) % 5 != 0
+    # Berlekamp chunks of 5 lanes, gcd chunks of 125 // 6 = 20 lanes
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 5 * 5**2)
+    assert len(primes) % 5 != 0 and len(primes) % 20 != 0
     assert_block_matches_oracle(quintic, primes)
     assert census_block(quintic, np.array(primes, dtype=np.int64))[1].tolist() == (
         whole.tolist())
@@ -501,7 +506,7 @@ def test_census_refuses_distinct_degree_counts_that_fit_no_type(monkeypatch):
     quartic = IntPoly([1, 0, 0, 0, 1])
     parr = np.array(good_primes(quartic, list(primes_in(3, 100))), dtype=np.int64)
     # D_1 = 3 leaves one degree, at most d/2, for a single factor
-    monkeypatch.setattr(modular_mod, "_kernel_dims",
+    monkeypatch.setattr(modular_mod, "_gcd_degrees",
                         lambda p, G, h: np.full(h.shape[1], 3, dtype=np.int64))
     with pytest.raises(InvariantViolation, match=r"\[3, 3\] at p=3 "):
         census_block(quartic, parr)
@@ -511,27 +516,18 @@ def test_census_refuses_distinct_degree_counts_that_fit_no_type(monkeypatch):
     def odd_d2(p, G, h):
         calls.append(None)
         return np.full(h.shape[1], len(calls) > 1, dtype=np.int64)
-    monkeypatch.setattr(modular_mod, "_kernel_dims", odd_d2)
+    monkeypatch.setattr(modular_mod, "_gcd_degrees", odd_d2)
     with pytest.raises(InvariantViolation, match=r"\[0, 1\] at p=3 "):
         census_block(quartic, parr)
 
 
-def rank_mod_p(rows, p):
-    """Rank over F_p by Gauss-Jordan on Python ints, the _batch_rank oracle."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    for j in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][j], p - 2, p)
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j] * inv
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+def fp_mul(a, b, p):
+    """a * b over F_p, coefficient lists ascending."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -542,28 +538,42 @@ def edge_primes(d):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), d=st.integers(2, 10), edge=st.booleans(),
        lanes=st.integers(1, 6))
-def test_batch_rank_matches_python_elimination(data, d, edge, lanes):
-    # rank-deficient lanes: products of d x r and r x d matrices, r <= d,
-    # as residues in (-p, p), the range the kernel accepts
+def test_gcd_degrees_match_python_euclid(data, d, edge, lanes):
+    # lanes g = c * r and h = c * s mod p: monic g of degree d, deg h < d,
+    # a shared factor c of random degree, and h = 0 when s is
     pool = edge_primes(d) if edge else (2, 3, 5, 7, 13)
-    primes, mats = [], []
+    primes, gs, hs = [], [], []
     for _ in range(lanes):
         p = data.draw(st.sampled_from(pool))
-        r = data.draw(st.integers(0, d))
-        entry = st.integers(0, p - 1)
-        a = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
-                               min_size=d, max_size=d))
-        b = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
-                               min_size=r, max_size=r))
-        neg = data.draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))
-        prod = [[sum(a[i][t] * b[t][j] for t in range(r)) % p for j in range(d)]
-                for i in range(d)]
-        mats.append([[x - p if x and neg[i * d + j] else x for j, x in enumerate(row)]
-                     for i, row in enumerate(prod)])
+        k = data.draw(st.integers(0, d))
+        coeff = st.integers(0, p - 1)
+        c = data.draw(st.lists(coeff, min_size=k, max_size=k)) + [1]
+        r = data.draw(st.lists(coeff, min_size=d - k, max_size=d - k)) + [1]
+        s = data.draw(st.lists(coeff, min_size=1, max_size=max(1, d - k)))
+        g = fp_mul(c, r, p)
+        h = (fp_mul(c, s, p) + [0] * d)[:d] if k < d else [0] * d
         primes.append(p)
-    M = np.array(mats, dtype=np.int64).transpose(1, 2, 0).copy()
-    ranks = _batch_rank(M, np.array(primes, dtype=np.int64))
-    assert ranks.tolist() == [rank_mod_p(m, p) for m, p in zip(mats, primes)]
+        gs.append(g[:d])
+        hs.append(h)
+    degs = _gcd_degrees(np.array(primes, dtype=np.int64),
+                        np.array(gs, dtype=np.int64).T.copy(),
+                        np.array(hs, dtype=np.int64).T.copy())
+    assert degs.tolist() == [
+        len(_fp_gcd_monic(g + [1], _trim(list(h)), p)) - 1
+        for g, h, p in zip(gs, hs, primes)
+    ]
+
+
+def test_root_counts_of_x922_minus_2_near_the_scan_cap():
+    # x^922 = 2 has gcd(922, p - 1) roots in the cyclic F_p^* when
+    # 2^((p - 1) / gcd(922, p - 1)) = 1 mod p, and none otherwise
+    primes = list(primes_in(99999900, 10**8))
+    f = IntPoly([-2] + [0] * 921 + [1])
+    expected = []
+    for p in primes:
+        e = gcd(922, p - 1)
+        expected.append(e if pow(2, (p - 1) // e, p) == 1 else 0)
+    assert count_roots_block(f, np.array(primes, dtype=np.int64)).tolist() == expected
 
 
 def test_census_block_matches_separate_kernels():
@@ -579,7 +589,7 @@ def test_count_roots_block_partial_chunk(monkeypatch):
     cubic = IntPoly([-2, 0, 0, 1])
     parr = np.array(list(primes_in(5, 3000)), dtype=np.int64)
     whole = count_roots_block(cubic, parr)
-    monkeypatch.setattr(modular_mod, "_RANK_CHUNK_ENTRIES", 7 * 3**2)  # 7 lanes
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 7 * (3 + 1))  # 7 lanes
     assert int((whole != 3).sum()) % 7 != 0  # the last chunk is partial
     assert count_roots_block(cubic, parr).tolist() == whole.tolist()
     assert whole.tolist() == [count_roots_mod_p(cubic, int(p)) for p in parr]

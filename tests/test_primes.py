@@ -6,10 +6,10 @@ import pytest
 from intersective.primes import (
     MAX_SIEVE_BOUND,
     PrimeRange,
-    is_prime,
     iter_prime_arrays,
     primes_in,
 )
+from oracles import is_prime
 
 
 def bytearray_sieve(limit: int) -> list[int]:

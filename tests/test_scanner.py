@@ -123,7 +123,7 @@ def test_reports_identical_across_worker_counts():
     # block are powered in more than one lane chunk
     tenth = IntPoly((60, 0, 68, 0, -11, 0, -21, 0, -1, 0, 1))
     block = sum(1 for _ in primes_in(2, scanner_mod.BLOCK_SPAN))
-    assert block > 2 * modular_mod._RANK_CHUNK_ENTRIES // tenth.degree
+    assert block > 2 * modular_mod._CHUNK_ENTRIES // tenth.degree
     for f in (IntPoly((1, 0, 1)), tenth):
         reports = [scan(f, rng, workers=w) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]

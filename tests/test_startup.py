@@ -79,6 +79,23 @@ def test_prime_array_subcommands_load_numpy():
     assert json.loads(out)["histogram"] == {"0": 13, "2": 11}
 
 
+def test_one_block_jobs_do_not_load_the_thread_pool():
+    # a census to 10^5 is one scan block: concurrent.futures stays unloaded,
+    # while a scan over several blocks on two workers loads it
+    loaded = run_python(
+        "import contextlib, io, json, sys\n"
+        "from intersective.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['census', '--poly', 'x^5-x-1', '--to', '100000']) == 0\n"
+        "before = 'concurrent.futures' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['scan', '--poly', 'x^2+1', '--to', '600000']) == 0\n"
+        "print(json.dumps([before, 'concurrent.futures' in sys.modules]))\n",
+        INTERSECTIVE_THREADS="2",
+    )
+    assert loaded == [False, True]
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="needs /proc/self/status")
 def test_cli_runs_numpy_jobs_on_one_thread():
