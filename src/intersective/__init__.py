@@ -41,7 +41,6 @@ _EXPORTS = {
         "scan",
         "check_real_roots",
         "check_real_roots_forms",
-        "compare_densities",
     ),
     # InvariantViolation is defined with the input errors, without numpy
     "parse": ("InvariantViolation", "parse_poly", "parse_form"),

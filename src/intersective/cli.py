@@ -87,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--poly", required=True)
     _add_range_args(p_census)
     _add_format_arg(p_census)
+    p_census.set_defaults(cycle_types=True)
 
     p_check = subs.add_parser(
         "check", help="minimum root count mod p against the real-root count"
@@ -183,20 +184,6 @@ def _cmd_realroots(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_census(args: argparse.Namespace) -> None:
-    from .scanner import scan
-
-    f = _nonconstant_poly(args.poly)
-    rng = _make_range(args)
-    report = scan(f, rng, with_cycle_types=True)
-    _emit(
-        args,
-        reports.scan_report_json(report),
-        reports.scan_report_text(report),
-        reports.scan_report_tsv(report),
-    )
-
-
 def _cmd_check(args: argparse.Namespace) -> None:
     from .scanner import check_real_roots, check_real_roots_forms, density_comparison
 
@@ -236,7 +223,7 @@ _COMMANDS = {
     "scan": _cmd_scan,
     "cover": _cmd_cover,
     "realroots": _cmd_realroots,
-    "census": _cmd_census,
+    "census": _cmd_scan,
     "check": _cmd_check,
     "density": _cmd_density,
 }

@@ -110,19 +110,6 @@ def multiply(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
-def power(f: IntPoly, k: int) -> IntPoly:
-    if k < 0:
-        raise ValueError("negative polynomial power")
-    result = ONE
-    for _ in range(k):
-        result = multiply(result, f)
-    return result
-
-
-def scale(f: IntPoly, c: int) -> IntPoly:
-    return IntPoly([c * a for a in f.coeffs])
-
-
 def content(f: IntPoly) -> int:
     """Nonnegative gcd of the coefficients; 0 for the zero polynomial."""
     g = 0
@@ -211,65 +198,58 @@ def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(q)
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[x] with positive leading coefficient."""
+def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], int]:
+    """Subresultant remainder sequence of a and b, deg a >= deg b, b nonzero.
 
-    def normalized(h: IntPoly) -> IntPoly:
-        h = primitive_part(h)
-        return negate(h) if not h.is_zero and h.lc < 0 else h
-
-    if f.is_zero:
-        return normalized(g)
-    if g.is_zero:
-        return normalized(f)
-    a, b = primitive_part(f), primitive_part(g)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        if b.degree == 0:
-            return ONE
-        a, b = b, primitive_part(prem(a, b))
-    return normalized(a)
+    Returns the elements S_0 = a, S_1 = b, S_2, ..., a sign per element
+    and the final scalar h (Collins 1967; Brown and Traub 1971).  S_{i+1}
+    is prem(S_{i-1}, S_i) divided exactly by g * h**delta, delta =
+    deg S_{i-1} - deg S_i.  The sequence stops at a constant, or at the
+    last nonzero element, which is then gcd(a, b) up to a scalar.  With
+    signs e_0 = e_1 = 1 and e_{i+1} = -e_{i-1} * sign(g) * sign(h)**delta
+    * sign(lc S_i)**(delta + 1), e_i * S_i is a positive multiple of the
+    i-th negated remainder of Euclid's algorithm on a and b.
+    """
+    seq, signs = [a, b], [1, 1]
+    g = h = 1
+    while seq[-1].degree > 0:
+        A, B = seq[-2], seq[-1]
+        delta = A.degree - B.degree
+        r = prem(A, B)
+        if r.is_zero:
+            break
+        seq.append(_div_coeffs(r, g * h**delta))
+        flip = (g < 0) ^ (h < 0 and delta % 2 == 1) ^ (B.lc < 0 and delta % 2 == 0)
+        signs.append(signs[-2] if flip else -signs[-2])
+        g = B.lc
+        if delta > 0:
+            h, rem = divmod(g**delta, h ** (delta - 1))
+            assert rem == 0
+    return seq, signs, h
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g), exactly, by the subresultant remainder sequence."""
     if f.is_zero or g.is_zero:
         return 0
-    A, B = f, g
     s = 1
-    if A.degree < B.degree:
+    if f.degree < g.degree:
+        if f.degree % 2 == 1 and g.degree % 2 == 1:
+            s = -s
+        f, g = g, f
+    t = content(f) ** g.degree * content(g) ** f.degree
+    seq, _, h = subresultant_prs(primitive_part(f), primitive_part(g))
+    last, d = seq[-1], seq[-2].degree
+    if last.degree > 0:
+        return 0
+    for A, B in zip(seq, seq[1:]):
         if A.degree % 2 == 1 and B.degree % 2 == 1:
             s = -s
-        A, B = B, A
-    ca, cb = content(A), content(B)
-    t = ca**B.degree * cb**A.degree
-    A, B = primitive_part(A), primitive_part(B)
-    gg = 1
-    h = 1
-    while True:
-        dA, dB = A.degree, B.degree
-        if dA % 2 == 1 and dB % 2 == 1:
-            s = -s
-        if dB == 0:
-            lead = B.coeffs[0]
-            num = lead**dA
-            if dA > 1:
-                final, rem = divmod(num, h ** (dA - 1))
-                assert rem == 0
-            else:
-                final = num
-            return s * t * final
-        delta = dA - dB
-        R = prem(A, B)
-        if R.is_zero:
-            return 0
-        A = B
-        B = _div_coeffs(R, gg * h**delta)
-        gg = A.lc
-        if delta > 0:
-            h, rem = divmod(gg**delta, h ** (delta - 1))
-            assert rem == 0
+    final = last.lc**d
+    if d > 1:
+        final, rem = divmod(final, h ** (d - 1))
+        assert rem == 0
+    return s * t * final
 
 
 def discriminant(f: IntPoly) -> int:
@@ -289,19 +269,18 @@ def discriminant(f: IntPoly) -> int:
 def squarefree_part(f: IntPoly) -> IntPoly:
     """Primitive polynomial with the same complex roots as f, all simple.
 
-    Computed as primitive(f) / gcd(f, f'); the result has positive
-    leading coefficient.
+    primitive(f) divided by the primitive part of the last element of
+    the remainder sequence of f and f', which is gcd(f, f') up to a
+    scalar; the result has positive leading coefficient.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
     fp = primitive_part(f)
     if fp.degree == 0:
         return ONE
-    g = poly_gcd(fp, derivative(fp))
-    q = exact_div(fp, g) if g.degree > 0 else fp
-    if q.lc < 0:
-        q = negate(q)
-    return q
+    last = subresultant_prs(fp, derivative(fp))[0][-1]
+    q = exact_div(fp, primitive_part(last)) if last.degree > 0 else fp
+    return negate(q) if q.lc < 0 else q
 
 
 def to_text(f: IntPoly) -> str:

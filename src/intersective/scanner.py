@@ -21,7 +21,6 @@ from .modular import _batch_powmod, _residues, census_block, count_roots_block
 from .parse import (
     DEFAULT_SCAN_CAP,  # re-exported
     HARD_SCAN_CAP,
-    MIN_DENSITY_RANGE_END,
     InvariantViolation,
 )
 from .primes import PrimeRange, iter_prime_arrays
@@ -78,9 +77,9 @@ def _scan_block(
     lo: int,
     hi: int,
     with_cycle_types: bool,
-) -> tuple[Counter, Counter | None, list[int], int]:
-    """Root-count histogram, cycle types, excluded primes and covered count
-    of one block; disc is disc(f*).
+) -> tuple[Counter, Counter | None, list[int]]:
+    """Root-count histogram, cycle types and excluded primes of one block;
+    disc is disc(f*).
 
     Each census is checked at every prime: the parts sum to deg f*, the
     1-parts are the root count, no count is negative, and Stickelberger's
@@ -93,7 +92,6 @@ def _scan_block(
     hist: Counter = Counter()
     cyc: Counter | None = Counter() if with_cycle_types else None
     excluded: list[int] = []
-    covered = 0
     degree = fstar.degree
     for parr in iter_prime_arrays(lo, hi):
         good_mask = _residues(bad, parr) != 0
@@ -130,11 +128,10 @@ def _scan_block(
                 )
             for row, v in Counter(map(tuple, types.tolist())).items():
                 cyc[_parts(row)] += v
-        covered += int((counts > 0).sum())
         tally = np.bincount(counts, minlength=degree + 1)
         for k in np.flatnonzero(tally).tolist():
             hist[k] += int(tally[k])
-    return hist, cyc, excluded, covered
+    return hist, cyc, excluded
 
 
 def _parts(counts) -> tuple[int, ...]:
@@ -190,13 +187,11 @@ def scan(
     hist: Counter = Counter()
     cyc: Counter | None = Counter() if with_cycle_types else None
     excluded: list[int] = []
-    covered = 0
-    for bh, bc, bex, bcov in partials:  # merge in block order
+    for bh, bc, bex in partials:  # merge in block order
         hist.update(bh)
         if cyc is not None and bc is not None:
             cyc.update(bc)
         excluded.extend(bex)
-        covered += bcov
     good = sum(hist.values())
     return ScanReport(
         polynomial=f,
@@ -208,7 +203,7 @@ def scan(
             dict(sorted(cyc.items())) if cyc is not None else None
         ),
         empirical_density_with_root=(
-            Fraction(covered, good) if good else None
+            Fraction(good - hist[0], good) if good else None
         ),
     )
 
@@ -291,19 +286,3 @@ def density_comparison(dist: RootDistribution, report: ScanReport) -> DensityCom
         worst = max(worst, dev)
         rows.append(DensityRow(k, exact, empirical, dev))
     return DensityComparison(rows, worst)
-
-
-def compare_densities(
-    forms: list[QuadForm], rng: PrimeRange, workers: int | None = None
-) -> tuple[DensityComparison, ScanReport, RootDistribution]:
-    """Exact Frobenius-class densities against scanned frequencies.
-
-    The range must reach at least 10**5 so the sample is meaningful.
-    """
-    if rng.hi < MIN_DENSITY_RANGE_END:
-        raise ValueError(
-            f"density comparison needs the range to reach {MIN_DENSITY_RANGE_END}"
-        )
-    dist = exact_root_distribution(forms)
-    report = scan(product_polynomial(forms), rng, workers=workers)
-    return density_comparison(dist, report), report, dist

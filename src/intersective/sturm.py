@@ -1,8 +1,11 @@
 """Exact real-root counting and isolation via Sturm chains.
 
-All arithmetic is over Z and Q.  Chains are built from the squarefree part,
-remainders are integer pseudo-remainders negated under a positive scalar
-multiplier, so every sign evaluation agrees with the rational chain.
+All arithmetic is over Z and Q.  A chain is f*, f*' and the primitive
+parts of the subresultant remainder sequence of f* and f*', each signed
+to be a positive multiple of the rational chain's negated remainder
+(intpoly.subresultant_prs), so every sign evaluation agrees with the
+rational chain.  f* is the squarefree part of f; for a squarefree f one
+remainder sequence gives both the chain and the proof that f* = f.
 
 Isolating intervals come from bisection with Sturm counts.  Each is then
 narrowed by quadratic interval refinement (Abbott, "Quadratic interval
@@ -17,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, derivative, negate, prem, primitive_part, squarefree_part
+from .intpoly import (
+    IntPoly,
+    derivative,
+    negate,
+    primitive_part,
+    squarefree_part,
+    subresultant_prs,
+)
 
 DEFAULT_MIN_WIDTH = Fraction(1, 2**20)
 
@@ -38,26 +48,27 @@ class Interval:
         return self.hi - self.lo
 
 
-def _next_element(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Negated remainder of a by b under a positive scalar multiplier."""
-    r = prem(a, b)
-    if b.lc < 0 and (a.degree - b.degree + 1) % 2 == 1:
-        r = negate(r)  # restore the sign lc(b)**odd would have flipped
-    return primitive_part(negate(r))
-
-
 def sturm_chain(f: IntPoly) -> list[IntPoly]:
-    """Sturm chain of squarefree_part(f); ends in a nonzero constant."""
+    """Sturm chain of squarefree_part(f); ends in a nonzero constant.
+
+    The remainder sequence runs on primitive f with positive leading
+    coefficient; only when it ends in a nonconstant gcd, that is when f
+    has a repeated factor, is it run again on the squarefree part.
+    """
     if f.is_zero:
         raise ValueError("the zero polynomial has no Sturm chain")
     if f.degree < 1:
         raise ValueError("Sturm chain requires degree at least 1")
-    fstar = squarefree_part(f)
+    fstar = primitive_part(f)
+    if fstar.lc < 0:
+        fstar = negate(fstar)
+    seq, signs, _ = subresultant_prs(fstar, derivative(fstar))
+    if seq[-1].degree > 0:
+        fstar = squarefree_part(f)
+        seq, signs, _ = subresultant_prs(fstar, derivative(fstar))
     chain = [fstar, derivative(fstar)]
-    while chain[-1].degree > 0:
-        nxt = _next_element(chain[-2], chain[-1])
-        assert not nxt.is_zero, "squarefree input produced a degenerate chain"
-        chain.append(nxt)
+    for s, e in zip(seq[2:], signs[2:]):
+        chain.append(primitive_part(s if e > 0 else negate(s)))
     return chain
 
 
@@ -95,12 +106,15 @@ def _variations_at(chain: list[IntPoly], x: Fraction) -> int:
     return _variations([_sign_at(g, x) for g in chain])
 
 
-def count_real_roots(f: IntPoly) -> int:
-    """Number of distinct real roots of f, exactly."""
-    chain = sturm_chain(f)
+def _root_count(chain: list[IntPoly]) -> int:
     at_minus = _variations([_sign_at_infinity(g, positive=False) for g in chain])
     at_plus = _variations([_sign_at_infinity(g, positive=True) for g in chain])
     return at_minus - at_plus
+
+
+def count_real_roots(f: IntPoly) -> int:
+    """Number of distinct real roots of f, exactly."""
+    return _root_count(sturm_chain(f))
 
 
 def _root_bound(f: IntPoly) -> int:
@@ -131,7 +145,7 @@ def isolate_real_roots(
         raise ValueError("min_width must be positive")
     chain = sturm_chain(f)
     fstar = chain[0]
-    total = count_real_roots(fstar)
+    total = _root_count(chain)
     if total == 0:
         return []
 

@@ -1,16 +1,28 @@
-"""Scalar F_p routines, the oracles the batched kernels are tested against.
+"""Scalar routines, the oracles the batched kernels and the remainder
+sequence are tested against.
 
 Root counts by deg gcd(x^p - x, f mod p), roots by brute force, cycle
 types by distinct-degree factorization, the Jacobi symbol, and covering
-of a prime by a quadratic form, one prime at a time on Python ints; and
-deterministic Miller-Rabin primality below 2**64.
+of a prime by a quadratic form, one prime at a time on Python ints;
+deterministic Miller-Rabin primality below 2**64; and over Z, the
+primitive remainder sequence: gcd, squarefree part and Sturm chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from intersective.intpoly import IntPoly, discriminant, squarefree_part
+from intersective.intpoly import (
+    ONE,
+    IntPoly,
+    derivative,
+    discriminant,
+    exact_div,
+    negate,
+    prem,
+    primitive_part,
+    squarefree_part,
+)
 from intersective.quadcover import QuadForm, form_discriminant
 
 BRUTE_FORCE_MAX_P = 10**4
@@ -295,3 +307,65 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd in Z[x] with positive leading coefficient."""
+
+    def normalized(h: IntPoly) -> IntPoly:
+        h = primitive_part(h)
+        return negate(h) if not h.is_zero and h.lc < 0 else h
+
+    if f.is_zero:
+        return normalized(g)
+    if g.is_zero:
+        return normalized(f)
+    a, b = primitive_part(f), primitive_part(g)
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        if b.degree == 0:
+            return ONE
+        a, b = b, primitive_part(prem(a, b))
+    return normalized(a)
+
+
+def squarefree_part_by_gcd(f: IntPoly) -> IntPoly:
+    """Primitive polynomial with the same complex roots as f, all simple.
+
+    Computed as primitive(f) / gcd(f, f'); the result has positive
+    leading coefficient.
+    """
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no squarefree part")
+    fp = primitive_part(f)
+    if fp.degree == 0:
+        return ONE
+    g = poly_gcd(fp, derivative(fp))
+    q = exact_div(fp, g) if g.degree > 0 else fp
+    if q.lc < 0:
+        q = negate(q)
+    return q
+
+
+def _next_element(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Negated remainder of a by b under a positive scalar multiplier."""
+    r = prem(a, b)
+    if b.lc < 0 and (a.degree - b.degree + 1) % 2 == 1:
+        r = negate(r)  # restore the sign lc(b)**odd would have flipped
+    return primitive_part(negate(r))
+
+
+def sturm_chain_by_primitive_prs(f: IntPoly) -> list[IntPoly]:
+    """Sturm chain of squarefree_part(f); ends in a nonzero constant."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no Sturm chain")
+    if f.degree < 1:
+        raise ValueError("Sturm chain requires degree at least 1")
+    fstar = squarefree_part_by_gcd(f)
+    chain = [fstar, derivative(fstar)]
+    while chain[-1].degree > 0:
+        nxt = _next_element(chain[-2], chain[-1])
+        assert not nxt.is_zero, "squarefree input produced a degenerate chain"
+        chain.append(nxt)
+    return chain

@@ -29,7 +29,7 @@ from intersective.quadcover import (
     product_polynomial,
 )
 from intersective.reports import dumps, scan_report_json
-from intersective.scanner import compare_densities, scan
+from intersective.scanner import check_real_roots_forms, density_comparison, scan
 from intersective.sturm import count_real_roots
 from oracles import (
     count_roots_mod_p,
@@ -130,12 +130,14 @@ def test_criterion_4_positive_definite_sets_fail_to_cover():
 def test_criterion_5_densities_match_chebotarev_predictions():
     with _Gate("criterion 5: scanned root-count frequencies below 10^6 match "
                "the exact distributions within 0.01") as gate:
-        comparison, _, dist = compare_densities(TRIPLE_FORMS, PrimeRange(2, 10**6))
+        _, report, dist = check_real_roots_forms(TRIPLE_FORMS, PrimeRange(2, 10**6))
+        comparison = density_comparison(dist, report)
         assert dist.densities == {2: Fraction(3, 4), 6: Fraction(1, 4)}
         assert comparison.max_abs_deviation < Fraction(1, 100)
         first = gate.elapsed
         assert first < 30.0
-        comparison, _, dist = compare_densities(PAIR_FORMS, PrimeRange(2, 10**6))
+        _, report, dist = check_real_roots_forms(PAIR_FORMS, PrimeRange(2, 10**6))
+        comparison = density_comparison(dist, report)
         assert dist.densities == {
             0: Fraction(1, 4),
             2: Fraction(1, 2),

@@ -12,12 +12,12 @@ from intersective.intpoly import (
     evaluate,
     exact_div,
     multiply,
-    poly_gcd,
     primitive_part,
     resultant,
     squarefree_part,
     to_text,
 )
+from oracles import poly_gcd
 
 
 def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:

@@ -15,7 +15,7 @@ from intersective.scanner import (
     InvariantViolation,
     check_real_roots,
     check_real_roots_forms,
-    compare_densities,
+    density_comparison,
     resolve_workers,
     scan,
 )
@@ -196,13 +196,9 @@ def test_check_real_roots_forms_exact():
     assert check.verdict == "consistent"
 
 
-def test_compare_densities_needs_long_range():
-    with pytest.raises(ValueError):
-        compare_densities(TRIPLE_FORMS, PrimeRange(2, 10**4))
-
-
 def test_compare_densities_triple():
-    comparison, report, dist = compare_densities(TRIPLE_FORMS, PrimeRange(2, 10**5))
+    _, report, dist = check_real_roots_forms(TRIPLE_FORMS, PrimeRange(2, 10**5))
+    comparison = density_comparison(dist, report)
     assert dist.densities == {2: Fraction(3, 4), 6: Fraction(1, 4)}
     by_count = {row.root_count: row for row in comparison.rows}
     assert set(by_count) == {2, 6}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective import sturm
+from intersective import intpoly, sturm
 from intersective.intpoly import (
     IntPoly,
     discriminant,
@@ -21,6 +21,7 @@ from intersective.sturm import (
     isolate_real_roots,
     sturm_chain,
 )
+from oracles import squarefree_part_by_gcd, sturm_chain_by_primitive_prs
 
 TRIPLE = multiply(
     multiply(IntPoly([1, 0, 1]), IntPoly([2, 0, 1])), IntPoly([-2, 0, 1])
@@ -328,6 +329,51 @@ def test_wilkinson_refinement_sign_checks_are_logarithmic(monkeypatch):
     assert all(iv.width <= Fraction(1, 2**1000) for iv in intervals)
     # bisection makes about 1000 sign checks per root here
     assert 0 < calls <= 100 * 20
+
+
+def test_isolation_of_a_squarefree_polynomial_runs_one_remainder_sequence(monkeypatch):
+    # the chain, the proof that f is squarefree and the root count all
+    # come from one sequence of at most d - 1 pseudo-remainders
+    calls = 0
+    pseudo_remainder = intpoly.prem
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pseudo_remainder(*args)
+
+    monkeypatch.setattr(intpoly, "prem", counted)
+    for f in (wilkinson(20), TRIPLE, IntPoly([-1, -1, 0, 0, 0, 0, 0, 1])):
+        calls = 0
+        isolate_real_roots(f, Fraction(1, 2**40))
+        assert 0 < calls <= f.degree - 1, (f, calls)
+
+
+# Sparse polynomials have degree gaps in their remainder sequences, and
+# the powers (x^m + c)^k, k >= 2, repeated factors.
+SPARSE_TERMS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(-20, 20)), min_size=1, max_size=4
+)
+REPEATED = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(2, 3)), max_size=2
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=SPARSE_TERMS, repeated=REPEATED, scale=st.sampled_from((1, -1, 2, -6)))
+def test_chain_and_squarefree_part_match_primitive_prs_oracle(terms, repeated, scale):
+    coeffs = [0] * 13
+    for e, c in terms:
+        coeffs[e] += c
+    f = IntPoly([scale * c for c in coeffs])
+    for m, c, k in repeated:
+        for _ in range(k):
+            f = multiply(f, IntPoly([c] + [0] * (m - 1) + [1]))
+    if f.is_zero or f.degree < 1:
+        return
+    assert squarefree_part(f).coeffs == squarefree_part_by_gcd(f).coeffs
+    chain = sturm_chain(f)
+    assert [g.coeffs for g in chain] == [g.coeffs for g in sturm_chain_by_primitive_prs(f)]
 
 
 @settings(max_examples=150, deadline=None)
