@@ -8,7 +8,8 @@ the output was written (as by `| head`), 2 on usage or input errors,
 
 The scanner and the sieve are imported by the handlers that use them, so
 numpy loads only where a prime-array kernel runs: realroots, density and
-a covering cover start without it.
+a covering cover start without it.  Likewise sturm loads only where real
+roots are counted, in realroots and check.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .parse import (
     read_forms_file,
 )
 from .quadcover import QuadForm, decide_cover, exact_root_distribution
-from .sturm import isolate_real_roots
 
 if TYPE_CHECKING:
     from .primes import PrimeRange
@@ -173,6 +173,8 @@ def _cmd_cover(args: argparse.Namespace) -> None:
 
 
 def _cmd_realroots(args: argparse.Namespace) -> None:
+    from .sturm import isolate_real_roots
+
     f = _nonconstant_poly(args.poly)
     if args.precision < 0 or args.precision > 10**4:
         raise UsageError("--precision must be between 0 and 10000")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -18,20 +17,24 @@ MAX_SIEVE_BOUND = 10**12
 _U64 = 1 << 64
 
 
-@dataclass(frozen=True)
-class PrimeRange:
-    """Inclusive range [lo, hi] of candidate primes."""
-
+class _PrimeRangeFields(NamedTuple):
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if self.lo < 2:
+
+class PrimeRange(_PrimeRangeFields):
+    """Inclusive range [lo, hi] of candidate primes."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int) -> PrimeRange:
+        if lo < 2:
             raise ValueError("prime range must start at 2 or above")
-        if self.hi < self.lo:
-            raise ValueError(f"empty prime range [{self.lo}, {self.hi}]")
-        if self.hi >= _U64:
+        if hi < lo:
+            raise ValueError(f"empty prime range [{lo}, {hi}]")
+        if hi >= _U64:
             raise ValueError("prime range end exceeds 64-bit magnitude")
+        return super().__new__(cls, lo, hi)
 
 
 def _odd_base_primes(limit: int) -> np.ndarray:

@@ -18,10 +18,9 @@ verdict searches the primes for an example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 from .intpoly import IntPoly, multiply
 
@@ -34,17 +33,22 @@ MAX_ENUMERATION_RANK = 24
 _SLICE_BITS = 16
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """Binary quadratic form a x^2 + b x y + c y^2 with integer coefficients."""
-
+class _QuadFormFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.a == 0 and self.b == 0 and self.c == 0:
+
+class QuadForm(_QuadFormFields):
+    """Binary quadratic form a x^2 + b x y + c y^2 with integer coefficients."""
+
+    __slots__ = ()
+
+    # validation lives on a subclass: typing.NamedTuple refuses a __new__
+    def __new__(cls, a: int, b: int, c: int) -> QuadForm:
+        if a == 0 and b == 0 and c == 0:
             raise ValueError("form must have a nonzero coefficient")
+        return super().__new__(cls, a, b, c)
 
     def __str__(self) -> str:
         parts = []
@@ -69,8 +73,7 @@ def is_positive_definite(q: QuadForm) -> bool:
     return q.a > 0 and form_discriminant(q) < 0
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(NamedTuple):
     """Square class of a form discriminant as an F_2 vector.
 
     bits has bit j set when basis element j occurs to an odd power in the
@@ -138,8 +141,7 @@ def build_square_classes(
     return classes, basis
 
 
-@dataclass(frozen=True)
-class FrobeniusClass:
+class FrobeniusClass(NamedTuple):
     """A +/-1 assignment on the square-class basis.
 
     Realized by every prime p with (e | p) = signs[j] for each basis
@@ -163,16 +165,14 @@ class FrobeniusClass:
         return dict(zip(self.basis, self.signs))
 
 
-@dataclass(frozen=True)
-class Covers:
+class Covers(NamedTuple):
     """Every sufficiently large prime is covered; witness indices (0-based)
     name an odd subset whose discriminant product is a perfect square."""
 
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FailsToCover:
+class FailsToCover(NamedTuple):
     """Uncovered primes have positive density, exactly 2**-rank."""
 
     density: Fraction
@@ -271,8 +271,7 @@ def decide_cover(
     return FailsToCover(Fraction(1, 2**rank), rank, witness_class, example)
 
 
-@dataclass
-class RootDistribution:
+class RootDistribution(NamedTuple):
     """Exact distribution of per-prime root counts of the product polynomial."""
 
     densities: dict[int, Fraction]

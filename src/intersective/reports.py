@@ -19,10 +19,10 @@ from .quadcover import (
     QuadForm,
     RootDistribution,
 )
-from .sturm import Interval
 
-if TYPE_CHECKING:  # the scanner loads numpy
+if TYPE_CHECKING:  # the scanner loads numpy; sturm loads only to count real roots
     from .scanner import DensityComparison, RealRootCheck, ScanReport
+    from .sturm import Interval
 
 SCHEMA = "v2"
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,15 +30,13 @@ from .quadcover import (
     exact_root_distribution,
     product_polynomial,
 )
-from .sturm import count_real_roots
 
 BLOCK_SPAN = 1 << 18
 
 THREADS_ENV_VAR = "INTERSECTIVE_THREADS"
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     polynomial: IntPoly
     range: PrimeRange
     excluded_primes: tuple[int, ...]
@@ -208,8 +206,7 @@ def scan(
     )
 
 
-@dataclass
-class RealRootCheck:
+class RealRootCheck(NamedTuple):
     """Observed minimum root count mod p against the real-root count.
 
     In exact mode (products of quadratic forms) the minimum over all
@@ -230,6 +227,9 @@ def check_real_roots(
     f: IntPoly, rng: PrimeRange, workers: int | None = None
 ) -> RealRootCheck:
     """Empirical check: if every scanned good prime sees a root, expect a real root."""
+    # imported here, as in check_real_roots_forms: a scan never loads sturm
+    from .sturm import count_real_roots
+
     report = scan(f, rng, workers=workers)
     real = count_real_roots(f)
     observed = report.min_roots_observed
@@ -248,6 +248,8 @@ def check_real_roots_forms(
     The minimum root count over Frobenius classes is exact, and the
     product polynomial must have at least that many distinct real roots.
     """
+    from .sturm import count_real_roots
+
     dist = exact_root_distribution(forms)
     f = product_polynomial(forms)
     report = scan(f, rng, workers=workers)
@@ -259,16 +261,14 @@ def check_real_roots_forms(
     return check, report, dist
 
 
-@dataclass
-class DensityRow:
+class DensityRow(NamedTuple):
     root_count: int
     exact: Fraction
     empirical: Fraction
     abs_deviation: Fraction
 
 
-@dataclass
-class DensityComparison:
+class DensityComparison(NamedTuple):
     rows: list[DensityRow]
     max_abs_deviation: Fraction
 

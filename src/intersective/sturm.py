@@ -17,8 +17,8 @@ K bisections.  The result is exactly the cell bisection would end in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .intpoly import (
     IntPoly,
@@ -32,16 +32,20 @@ from .intpoly import (
 DEFAULT_MIN_WIDTH = Fraction(1, 2**20)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Open isolating interval with exact rational endpoints."""
-
+class _IntervalFields(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        if self.lo >= self.hi:
+
+class Interval(_IntervalFields):
+    """Open isolating interval with exact rational endpoints."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction) -> Interval:
+        if lo >= hi:
             raise ValueError("interval endpoints must satisfy lo < hi")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> Fraction:

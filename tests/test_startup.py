@@ -1,4 +1,5 @@
-"""numpy loads only where a prime-array kernel runs.
+"""numpy loads only where a prime-array kernel runs, sturm only where real
+roots are counted, and dataclasses and inspect never on the CLI's own paths.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded already.
@@ -47,6 +48,26 @@ def cli_loads_numpy(*argv):
     )
 
 
+def modules_after(commands, modules):
+    """Import the CLI in a new interpreter and run each command in turn;
+    return which of modules are loaded after the import and after each
+    command."""
+    return run_python(
+        "import contextlib, io, json, sys\n"
+        f"modules = {list(modules)!r}\n"
+        "seen = []\n"
+        "def record():\n"
+        "    seen.append([m for m in modules if m in sys.modules])\n"
+        "from intersective.cli import main\n"
+        "record()\n"
+        f"for argv in {list(commands)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    record()\n"
+        "print(json.dumps(seen))\n"
+    )
+
+
 def test_imports_do_not_load_numpy():
     for module in ("intersective", "intersective.cli"):
         loaded = run_python(
@@ -68,6 +89,34 @@ def test_integer_subcommands_run_without_numpy():
         assert code == 0 and out, argv
         assert loaded is False, argv
     assert json.loads(out)["rank"] == 20  # the density ran last
+
+
+def test_integer_subcommands_load_neither_dataclasses_nor_inspect():
+    # numpy loads inspect, so only the numpy-free jobs can check it
+    seen = modules_after(
+        [
+            ["realroots", "--poly", "x^2-2"],
+            ["density", "--form", "1,0,1", "--form", "1,0,2"],
+            ["cover", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2"],
+        ],
+        ["dataclasses", "inspect"],
+    )
+    assert seen == [[]] * 4
+
+
+def test_only_real_root_counts_load_sturm():
+    seen = modules_after(
+        [
+            ["scan", "--poly", "x^2+1", "--to", "100"],
+            ["census", "--poly", "x^3-2", "--to", "100"],
+            ["cover", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2"],
+            ["cover", "--form", "1,0,1"],
+            ["density", "--form", "1,0,1", "--form", "1,0,2"],
+            ["check", "--form", "1,0,1", "--to", "100"],
+        ],
+        ["intersective.sturm"],
+    )
+    assert seen == [[]] * 6 + [["intersective.sturm"]]
 
 
 def test_prime_array_subcommands_load_numpy():
