@@ -21,8 +21,16 @@ monic without a modular inverse: F(y) = c^(d-1) f(y/c), c = lc(f), has the
 same root count and factor degrees at every p not dividing c.  The
 powering is exact int64 while deg f * p**2 < 2**63; a block with a larger
 prime is refused with a ValueError naming the degree and the prime
-(_frobenius_block), never answered another way.  The scalar routines the
+(_checked_primes), never answered another way.  The scalar routines the
 kernels are checked against live with the tests, in tests/oracles.py.
+
+Memory is bounded by the chunk, not by the block.  count_roots_block and
+census_block check the whole block once, then take its primes one lane
+chunk at a time through every stage (coefficient reduction, monic g,
+powering, gcd, and for a census the distinct-degree counts) and write
+each chunk's counts and types straight into the block's output.  So no
+array of deg f times the block's primes exists, and a thread's working
+set is a small multiple of _CHUNK_ENTRIES entries whatever the block size.
 
 Exact residues of big integers mod prime arrays (_residues) serve the
 reduction of the coefficients, the scanner's bad-prime filter and
@@ -39,15 +47,17 @@ from .parse import InvariantViolation
 from .primes import iter_prime_arrays
 
 # The powering keeps every int64 entry within deg * p**2 in absolute value
-# (see _frobenius_block), and the gcd kernel within 2 * p**2, so batched
+# (see _checked_primes), and the gcd kernel within 2 * p**2, so batched
 # arithmetic stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
-# Lanes per chunk times the entries per lane stays below this: d + 1 per
-# row of the gcd kernel and d**2 per Berlekamp matrix of the cycle-type
-# census, so each of their arrays holds at most 512 KiB whatever the number
-# of primes.  The powering takes chunks of 2 * this // d lanes, so its
-# product buffer of 2d - 1 rows stays below 2 MiB.
+# Lanes per chunk times the entries per lane: d per coefficient row in a
+# root count, d**2 per Berlekamp matrix in a census of degree d >= 4.  A
+# chunk's arrays hold a small multiple of this, whatever the number of
+# primes: the powering keeps about 5d rows of lanes live, the gcd kernel
+# three arrays of d + 1 rows beside g and h, and a census its Berlekamp
+# matrix, then the stack of H_k - x (about d**2 / 2 per lane) in the gcd.
+# A root count of degree 10 peaks near 2.9 MiB (tracemalloc) in the gcd.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -104,10 +114,10 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     Every prime must leave the degree intact (p does not divide lc(f));
     a ValueError names the first that does not.  The count is
     deg gcd(g, x^p - x) over F_p, g the monic reduction of f
-    (_frobenius_block), so it is exact for any g, squarefree or not.
-    The gcd degrees come from the lockstep divsteps kernel
-    (_gcd_degrees).  Raises ValueError when d >= 2 and
-    d * pmax**2 >= 2**63.
+    (_frobenius), so it is exact for any g, squarefree or not.  The
+    gcd degrees come from the lockstep divsteps kernel (_gcd_degrees).
+    The primes pass through in chunks of _CHUNK_ENTRIES // d lanes.
+    Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
@@ -115,7 +125,12 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     n = int(primes.size)
     if n == 0 or d < 2:
         return np.full(n, d, dtype=np.int64)
-    return _root_counts(*_frobenius_block(f, primes))
+    p = _checked_primes(f, primes)
+    counts = np.empty(n, dtype=np.int64)
+    lanes = max(1, _CHUNK_ENTRIES // d)
+    for lo in range(0, n, lanes):
+        counts[lo : lo + lanes] = _root_counts(f, p[lo : lo + lanes])
+    return counts
 
 
 def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,8 +142,10 @@ def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x^p mod g: the distinct-degree counts D_k = deg gcd(g, x^(p^k) - x)
     for k <= d/2 come from the gcd kernel (_gcd_degrees), Moebius
     inversion over divisors yields the counts (see _cycle_types), and
-    the root count is D_1, the 1-part count.  Raises ValueError when
-    d >= 2 and d * pmax**2 >= 2**63.
+    the root count is D_1, the 1-part count.  The primes pass through in
+    chunks of _CHUNK_ENTRIES // d**2 lanes, the size of a Berlekamp
+    matrix, or of _CHUNK_ENTRIES // d for d <= 3, which needs none.
+    Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
@@ -136,27 +153,23 @@ def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n = int(primes.size)
     if n == 0 or d < 2:
         return np.full(n, d, dtype=np.int64), np.ones((n, d), dtype=np.int64)
-    types = _cycle_types(*_frobenius_block(f, primes))
+    p = _checked_primes(f, primes)
+    types = np.empty((n, d), dtype=np.int64)
+    lanes = max(1, _CHUNK_ENTRIES // (d * d if d > 3 else d))
+    for lo in range(0, n, lanes):
+        q = p[lo : lo + lanes]
+        types[lo : lo + lanes] = _cycle_types(q, *_frobenius(f, q))
     return types[:, 0].copy(), types
 
 
-def _frobenius_block(
-    f: IntPoly, primes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monic reductions g and H = x^p mod g at every prime, batched.
+def _checked_primes(f: IntPoly, primes: np.ndarray) -> np.ndarray:
+    """The primes as int64, once every one is known to fit the kernels.
 
-    g is F(y) = c^(d-1) f(y/c) mod p, c = lc(f), monic with coefficients
-    a_j c^(d-1-j): no modular inverse is needed.  At p not dividing c its
-    roots are c times those of f mod p, so it has the same root count,
-    distinct-degree counts and cycle type.  Returns (p, G, H)
-    coefficient-major: g = x^d + sum G[j] x^j and H[j] is the coefficient
-    of x^j, each row holding one value per prime.  Needs d >= 2.  Raises
-    ValueError naming the prime when a prime divides lc(f), and when
-    d * pmax**2 >= 2**63.  The powering (_power_x) runs in lane chunks of
-    2 * _CHUNK_ENTRIES // d lanes.
+    Raises ValueError naming the largest prime when d * pmax**2 >= 2**63,
+    and else naming the first prime that divides lc(f).  Both checks run
+    on the whole block before any chunk is powered.
     """
     d = f.degree
-    n = int(primes.size)
     pmax = int(primes.max())
     # Lazy bound: a product entry sums at most d products of residues in
     # [0, p), so it lies in [0, d * (p - 1)**2], and the reduction of the
@@ -167,26 +180,39 @@ def _frobenius_block(
             f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
             "(needs deg * p**2 < 2**63)"
         )
-    p = primes.astype(np.int64)
-    cols = [_residues(c, p) for c in f.coeffs]
-    lead = cols[-1]
-    bad = np.flatnonzero(lead == 0)
+    p = np.asarray(primes, dtype=np.int64)
+    bad = np.flatnonzero(_residues(f.lc, p) == 0)
     if bad.size:
         raise ValueError(f"p={int(p[bad[0]])} divides the leading coefficient")
-    # G[j] = a_j * c^(d-1-j), by a running power of c
-    G = np.stack(cols[:-1])
-    power = lead
+    return p
+
+
+def _frobenius(f: IntPoly, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monic reductions g and H = x^p mod g at every prime, batched.
+
+    g is F(y) = c^(d-1) f(y/c) mod p, c = lc(f), monic with coefficients
+    a_j c^(d-1-j): no modular inverse is needed.  At p not dividing c its
+    roots are c times those of f mod p, so it has the same root count,
+    distinct-degree counts and cycle type.  Returns (G, H)
+    coefficient-major: g = x^d + sum G[j] x^j and H[j] is the coefficient
+    of x^j, each row holding one value per prime.  Needs d >= 2 and
+    primes that passed _checked_primes; it holds O(d) rows of lanes, so
+    the callers pass one chunk at a time.
+    """
+    d = f.degree
+    lead = _residues(f.lc, p)
+    # G[j] = a_j * c^(d-1-j), by a running power of c, row by row in place
+    G = np.empty((d, p.size), dtype=np.int64)
+    G[d - 1] = _residues(f.coeffs[d - 1], p)
+    power = lead.copy()
     for j in range(d - 2, -1, -1):
-        G[j] = G[j] * power % p
-        power = power * lead % p
-    chunk = max(1, 2 * _CHUNK_ENTRIES // d)
-    if n <= chunk:
-        return p, G, _power_x(p, G)
-    H = np.empty((d, n), dtype=np.int64)
-    for lo in range(0, n, chunk):
-        s = slice(lo, lo + chunk)
-        H[:, s] = _power_x(p[s], G[:, s])
-    return p, G, H
+        row = G[j]
+        row[:] = _residues(f.coeffs[j], p)
+        row *= power
+        row %= p
+        power *= lead
+        power %= p
+    return G, _power_x(p, G)
 
 
 def _power_x(p: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -280,110 +306,121 @@ def _reduce_mod_g(
     return _mod(t[:d], p, out=out)
 
 
-def _root_counts(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """deg gcd(g, x^p - x) per lane, from H = x^p mod g."""
-    return _gcd_degrees(p, G, _minus_x(H, p))
-
-
-def _minus_x(H: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """H - x mod p, coefficient-major."""
-    h = H.copy()
-    h[1] = (h[1] - 1) % p
-    return h
+def _root_counts(f: IntPoly, p: np.ndarray) -> np.ndarray:
+    """deg gcd(g, x^p - x) per lane, for one chunk of primes; its arrays
+    are freed before the next chunk is powered."""
+    G, h = _frobenius(f, p)
+    h[1] -= 1  # entries in (-p, p)
+    return _gcd_degrees(p, G, h)
 
 
 def _gcd_degrees(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """deg gcd(g, h) per lane, g = x^d + sum G[j] x^j and deg h < d.
+    """deg gcd(g, h) per lane, g = x^d + sum G[j] x^j and deg h < d, the
+    entries of h in (-p, p).
 
-    Lanes with h = 0 have gcd g; the others run _divsteps in chunks of
-    _CHUNK_ENTRIES // (d + 1) lanes.
+    h may hold several polynomials per prime side by side: its lane j
+    goes with lane j mod n of p and G, n = p.size.  Lanes with h = 0 have
+    gcd g; the others are gathered straight into the arrays of _divsteps,
+    so neither G nor h is copied.
     """
-    d, n = h.shape
-    degs = np.full(n, d, dtype=np.int64)
-    rest = np.flatnonzero(h.any(axis=0))
-    chunk = max(1, _CHUNK_ENTRIES // (d + 1))
-    for lo in range(0, rest.size, chunk):
-        idx = rest[lo : lo + chunk]
-        degs[idx] = _divsteps(p[idx], G[:, idx], h[:, idx])
+    d, n = G.shape
+    live = np.flatnonzero(h.any(axis=0))
+    col = live % n
+    f = np.empty((d + 1, live.size), dtype=np.int64)
+    f[0] = 1
+    # mode="clip" lets take write into out unbuffered; every index is valid
+    np.take(G[::-1], col, axis=1, out=f[1:], mode="clip")
+    g = np.zeros_like(f)  # row d stays 0, the coefficient past deg f
+    np.take(h[::-1], live, axis=1, out=g[:d], mode="clip")
+    degs = np.full(h.shape[1], d, dtype=np.int64)
+    degs[live] = _divsteps(p[col], f, g)
     return degs
 
 
-def _divsteps(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _divsteps(p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """deg gcd(g, h) per lane by 2d - 1 polynomial divsteps in lockstep.
 
-    Bernstein-Yang: from delta = 1, f = x^d g(1/x) (so f[0] = 1) and
-    g' = x^(d-1) h(1/x), each step replaces g' by (f[0] g' - g'[0] f) / x,
-    and where delta > 0 and g'[0] != 0 it first moves g' into f and
-    negates delta; then delta grows by 1.  After 2d - 1 steps g' = 0 and
-    delta = 2 deg gcd(g, h).  The new g' is the negated divstep where the
-    lanes swap, which changes no decision, since only f[0] != 0, g'[0] != 0
-    and delta steer the steps.  Entries are fmod residues in (-p, p), so
-    every product difference stays below 2 p**2 < 2**63.  A step reads the
-    first 2d - 1 - step coefficients only, so rows are cut to that length.
-    The swap is an xor blend under a mask of -1 (all bits set) in the
-    lanes that swap, as is the negation of delta.
+    The arguments are the divstep pair, d + 1 rows each, and are consumed:
+    f = x^d g(1/x), so f[0] = 1, and g' = x^(d-1) h(1/x), whose row d is 0.
+    Bernstein-Yang: from delta = 1, where delta > 0 and g'[0] != 0 a step
+    first swaps f and g' and negates delta; then it replaces g' by
+    (f[0] g' - g'[0] f) / x of the pair as it now stands, and delta grows
+    by 1.  After 2d - 1 steps g' = 0 and delta = 2 deg gcd(g, h).  Entries
+    are fmod residues in (-p, p), so every product difference stays
+    below 2 p**2 < 2**63.  A step reads the first 2d - 1 - step
+    coefficients only, so rows are cut to that length.  The swap is an
+    xor blend under a mask of -1 (all bits set) in the lanes that swap,
+    as is the negation of delta.  Three arrays of d + 1 rows are live:
+    f, g' and the next g', which is the scratch of the blend and of the
+    products.
     """
-    d, n = G.shape
-    f = np.empty((d + 1, n), dtype=np.int64)
-    f[0] = 1
-    f[1:] = G[::-1]
-    g = np.zeros((d + 1, n), dtype=np.int64)
-    g[:d] = h[::-1]
-    nxt = np.zeros_like(g)  # row d stays 0, the coefficient past deg f
-    w = np.empty_like(g)
+    d, n = f.shape[0] - 1, f.shape[1]
+    nxt = np.empty_like(g)
     delta = np.ones(n, dtype=np.int64)
     mask = np.empty(n, dtype=np.int64)
     for step in range(2 * d - 1):
         rows = min(d + 1, 2 * d - 1 - step)
-        t, u = nxt[: rows - 1], w[: rows - 1]
-        np.multiply(g[1:rows], f[0], out=t)
-        np.multiply(f[1:rows], g[0], out=u)
-        t -= u
-        np.fmod(t, p, out=t)
         mask[:] = (delta > 0) & (g[0] != 0)
         np.negative(mask, out=mask)
-        u = w[:rows]
+        u = nxt[:rows]
         np.bitwise_xor(f[:rows], g[:rows], out=u)
         u &= mask
         f[:rows] ^= u
+        g[:rows] ^= u
         delta ^= mask  # (delta ^ -1) - (-1) = -delta
         delta -= mask
         delta += 1
+        u = nxt[: rows - 1]
+        np.multiply(f[1:rows], g[0], out=u)
+        t = g[1:rows]
+        t *= f[0]
+        np.subtract(t, u, out=u)
+        np.fmod(u, p, out=u)
+        nxt[rows - 1] = 0  # the coefficient past the new g', read while rows = d + 1
         g, nxt = nxt, g
     return delta >> 1
 
 
 def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Counts per factor degree from the distinct-degree counts D_k.
+    """Counts per factor degree, one row per lane, from the distinct-degree
+    counts D_k.
 
     D_k = deg gcd(g, x^(p^k) - x) = sum of m * c_m over m dividing k, each
     from _gcd_degrees.  D_1 is the root count.  For k = 2..d/2,
     H_k = x^(p^k) mod g is Q H_(k-1) with Q the Berlekamp matrix (columns
-    x^(jp) mod g), built per chunk of _CHUNK_ENTRIES // d**2 lanes.
-    Moebius inversion gives m * c_m for m <= d/2; the degree left over is
-    either 0 or one factor of degree above d/2.  Raises
-    InvariantViolation, naming the prime, when m * c_m is not a multiple
-    of m or the leftover degree is negative or at most d/2.
+    x^(jp) mod g), and the H_k - x stand side by side, one lane per pair
+    (k, prime), for a single gcd call.  The Berlekamp matrix holds d**2
+    entries per lane and the stack about d**2 / 2, so census_block passes
+    chunks of _CHUNK_ENTRIES // d**2 lanes.  Moebius inversion gives
+    m * c_m for m <= d/2; the degree left over is either 0 or one factor
+    of degree above d/2.  Raises InvariantViolation, naming the prime,
+    when m * c_m is not a multiple of m or the leftover degree is
+    negative or at most d/2.
     """
     d, n = H.shape
     half = d // 2
     D = np.empty((half, n), dtype=np.int64)
-    D[0] = _root_counts(p, G, H)
-    chunk = max(1, _CHUNK_ENTRIES // d**2)
-    for lo in range(0, n if half > 1 else 0, chunk):  # d <= 3 needs D_1 alone
-        s = slice(lo, lo + chunk)
-        q, g, Hk = p[s], G[:, s], H[:, s]
-        Q = np.zeros((d, d, Hk.shape[1]), dtype=np.int64)
+    h = H.copy()
+    h[1] -= 1
+    D[0] = _gcd_degrees(p, G, h)
+    if half > 1:  # d <= 3 needs D_1 alone
+        Q = np.zeros((d, d, n), dtype=np.int64)
         Q[0, 0] = 1
-        col = Hk
+        col = H
         for j in range(1, d):
             Q[:, j] = col
             if j + 1 < d:
-                col = _mulmod(col, Hk, g, q)
-        for k in range(2, half + 1):
+                col = _mulmod(col, H, G, p)
+        # stack[:, k - 2] holds H_k - x for k = 2..d/2
+        stack = np.empty((d, half - 1, n), dtype=np.int64)
+        Hk = H
+        for k in range(half - 1):
             # each sum holds d products below p**2
-            Hk = np.einsum("ijl,jl->il", Q, Hk) % q
-            D[k - 1, s] = _gcd_degrees(q, g, _minus_x(Hk, q))
+            Hk = np.einsum("ijl,jl->il", Q, Hk, out=stack[:, k])
+            Hk %= p
+        del Q  # freed before the gcd, so the two peaks do not add up
+        stack[1] -= 1
+        D[1:] = _gcd_degrees(p, G, stack.reshape(d, -1)).reshape(half - 1, n)
     mc = np.empty_like(D)  # mc[m - 1] = m * c_m
     for m in range(1, half + 1):
         mc[m - 1] = sum(_moebius(m // e) * D[e - 1] for e in range(1, m + 1) if m % e == 0)

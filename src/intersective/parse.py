@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
+from os import PathLike
 
 from .intpoly import IntPoly
 from .quadcover import QuadForm
@@ -215,11 +215,12 @@ def parse_form(text: str) -> QuadForm:
         raise FormParseError(str(exc)) from None
 
 
-def read_forms_file(path: str | Path) -> list[QuadForm]:
+def read_forms_file(path: str | PathLike[str]) -> list[QuadForm]:
     """One form per line; blank lines and #-comments are skipped."""
     forms = []
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise FormParseError(f"cannot read forms file {path}: {exc}") from None
     for line in text.splitlines():

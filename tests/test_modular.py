@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -12,7 +13,7 @@ import intersective.modular as modular_mod
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
     _batch_powmod,
-    _frobenius_block,
+    _frobenius,
     _gcd_degrees,
     _mod,
     _residues,
@@ -246,23 +247,25 @@ def test_block_kernels_refuse_a_prime_dividing_the_lead(kernel):
         kernel(IntPoly([1, 0, 3]), np.array([3, 5, 7], dtype=np.int64))
 
 
-def assert_powering_matches_oracle(f, primes):
-    # g is F(y) = c^(d-1) f(y/c) mod q, c = lc(f): monic without an inverse
-    p, G, H = _frobenius_block(f, np.array(primes, dtype=np.int64))
+def assert_powering_matches_oracle(f, primes, lanes=None):
+    # g is F(y) = c^(d-1) f(y/c) mod q, c = lc(f): monic without an inverse.
+    # Chunks of a few lanes each start from their own monomial x^(p >> k0).
     d = f.degree
-    assert H.dtype == np.int64 and H.shape == (d, len(primes))
-    for i, q in enumerate(primes):
-        g = [a * pow(f.lc, d - 1 - j, q) % q for j, a in enumerate(f.coeffs[:-1])]
-        assert G[:, i].tolist() == g, (f, q)
-        h = _fp_pow_x(q, g + [1], q)
-        assert H[:, i].tolist() == h + [0] * (d - len(h)), (f, q)
+    lanes = lanes or len(primes)
+    for lo in range(0, len(primes), lanes):
+        chunk = primes[lo : lo + lanes]
+        G, H = _frobenius(f, np.array(chunk, dtype=np.int64))
+        assert H.dtype == np.int64 and H.shape == (d, len(chunk))
+        for i, q in enumerate(chunk):
+            g = [a * pow(f.lc, d - 1 - j, q) % q for j, a in enumerate(f.coeffs[:-1])]
+            assert G[:, i].tolist() == g, (f, q)
+            h = _fp_pow_x(q, g + [1], q)
+            assert H[:, i].tolist() == h + [0] * (d - len(h)), (f, q)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 10])
 @pytest.mark.parametrize("chunk_lanes", [None, 2])
-def test_frobenius_powering_matches_oracle(d, chunk_lanes, monkeypatch):
-    if chunk_lanes:
-        monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", chunk_lanes * d // 2)
+def test_frobenius_powering_matches_oracle(d, chunk_lanes):
     below_d = [q for q in (2, 3, 5, 7) if q < d]  # x^p itself: the monomial start
     mixed = sorted(
         {2, 3, 5, 7}
@@ -278,7 +281,7 @@ def test_frobenius_powering_matches_oracle(d, chunk_lanes, monkeypatch):
                 break
         for primes in (mixed, below_d):
             if primes:
-                assert_powering_matches_oracle(f, primes)
+                assert_powering_matches_oracle(f, primes, chunk_lanes)
 
 
 def test_mod_matches_python_mod_at_the_int64_edge():
@@ -446,9 +449,9 @@ def test_cycle_types_block_partial_chunk(monkeypatch):
     quintic = IntPoly([-1, -1, 0, 0, 0, 1])  # degree 5: D_2 is counted per chunk
     primes = good_primes(quintic, list(primes_in(2, 200)))
     whole = census_block(quintic, np.array(primes, dtype=np.int64))[1]
-    # Berlekamp chunks of 5 lanes, gcd chunks of 125 // 6 = 20 lanes
+    # chunks of 125 // 5**2 = 5 lanes, the last one partial
     monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 5 * 5**2)
-    assert len(primes) % 5 != 0 and len(primes) % 20 != 0
+    assert len(primes) % 5 != 0
     assert_block_matches_oracle(quintic, primes)
     assert census_block(quintic, np.array(primes, dtype=np.int64))[1].tolist() == (
         whole.tolist())
@@ -589,8 +592,8 @@ def test_count_roots_block_partial_chunk(monkeypatch):
     cubic = IntPoly([-2, 0, 0, 1])
     parr = np.array(list(primes_in(5, 3000)), dtype=np.int64)
     whole = count_roots_block(cubic, parr)
-    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 7 * (3 + 1))  # 7 lanes
-    assert int((whole != 3).sum()) % 7 != 0  # the last chunk is partial
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 7 * 3)  # 7 lanes
+    assert parr.size % 7 != 0  # the last chunk is partial
     assert count_roots_block(cubic, parr).tolist() == whole.tolist()
     assert whole.tolist() == [count_roots_mod_p(cubic, int(p)) for p in parr]
 
@@ -612,3 +615,59 @@ def next_prime(n):
 def test_residues_match_python_mod(d, primes):
     p = np.array(primes, dtype=np.int64)
     assert _residues(d, p).tolist() == [d % q for q in primes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=2, max_size=12),
+    lead=st.integers(1, 50),
+    primes=st.lists(st.sampled_from(list(primes_in(2, 3000))), min_size=1, max_size=30),
+    entries=st.integers(1, 3 * 12**2),
+)
+def test_chunked_blocks_match_one_chunk_and_oracles(coeffs, lead, primes, entries):
+    # every stage runs per lane chunk: each chunk powers from its own
+    # monomial start and counts its own distinct degrees, and the answers
+    # must not depend on where the chunks end
+    f = IntPoly(coeffs + [lead])
+    primes = [p for p in primes if lead % p]
+    fstar = squarefree_part(f)
+    good = good_primes(fstar, primes)
+    parr, garr = (np.array(ps, dtype=np.int64) for ps in (primes, good))
+    whole_counts = count_roots_block(f, parr)
+    whole_census = census_block(fstar, garr) if fstar.degree >= 2 else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modular_mod, "_CHUNK_ENTRIES", entries)
+        counts = count_roots_block(f, parr)
+        census = census_block(fstar, garr) if fstar.degree >= 2 else None
+    assert counts.tolist() == whole_counts.tolist() == [
+        count_roots_mod_p(f, p) for p in primes]
+    if census is not None:
+        assert census[0].tolist() == whole_census[0].tolist()
+        assert census[1].tolist() == whole_census[1].tolist() == [
+            type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree) for p in good]
+
+
+DEGREE_10 = IntPoly([60, 0, 68, 0, -11, 0, -21, 0, -1, 0, 1])  # five quadratics
+
+
+@pytest.mark.parametrize("kernel, f", [
+    (count_roots_block, DEGREE_10),
+    (census_block, IntPoly([-1, -1, 0, 0, 0, 1])),  # x^5 - x - 1, disc 19 * 151
+])
+def test_block_kernels_hold_memory_bounded_by_the_chunk(kernel, f):
+    # the primes pass one lane chunk at a time, so beyond its outputs a
+    # kernel holds the same few MiB for a 2^18-wide scan block (about 20k
+    # primes) as for every prime below 10^6; tracemalloc sees numpy's
+    # allocations
+    budget = 6 << 20
+    every = np.array(good_primes(f, primes_in(2, 10**6)), dtype=np.int64)
+    for n in (20_000, every.size):
+        parr = every[:n].copy()
+        tracemalloc.start()
+        try:
+            out = kernel(f, parr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = peak - sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        assert held < budget, (n, held)

@@ -120,10 +120,10 @@ def test_scan_of_a_25_digit_coefficient_matches_oracles():
 def test_reports_identical_across_worker_counts():
     rng = PrimeRange(2, 600_000)  # spans several blocks
     # (x^2+1)(x^2+2)(x^2-2)(x^2+3)(x^2-5) has degree 10: the primes of a
-    # block are powered in more than one lane chunk
+    # block pass through more than one lane chunk
     tenth = IntPoly((60, 0, 68, 0, -11, 0, -21, 0, -1, 0, 1))
     block = sum(1 for _ in primes_in(2, scanner_mod.BLOCK_SPAN))
-    assert block > 2 * modular_mod._CHUNK_ENTRIES // tenth.degree
+    assert block > modular_mod._CHUNK_ENTRIES // tenth.degree
     for f in (IntPoly((1, 0, 1)), tenth):
         reports = [scan(f, rng, workers=w) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]

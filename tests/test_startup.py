@@ -1,5 +1,6 @@
 """numpy loads only where a prime-array kernel runs, sturm only where real
-roots are counted, and dataclasses and inspect never on the CLI's own paths.
+roots are counted, and dataclasses, inspect and pathlib never on the CLI's
+own paths.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded already.
@@ -19,10 +20,11 @@ FORMS_20 = [f"1,0,{-p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
                                   41, 43, 47, 53, 59, 61, 67, 71)]
 
 
-def run_python(code, **env_overrides):
-    """Run code in a new interpreter with the package on the path and
-    return the last line it prints, parsed as JSON.  An override of None
-    removes that variable from the child's environment."""
+def run_python(code, flags=(), **env_overrides):
+    """Run code in a new interpreter, started with the given flags, with
+    the package on the path and return the last line it prints, parsed as
+    JSON.  An override of None removes that variable from the child's
+    environment."""
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get(
         "PYTHONPATH", ""))
     for name, value in env_overrides.items():
@@ -30,7 +32,7 @@ def run_python(code, **env_overrides):
             env.pop(name, None)
         else:
             env[name] = value
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -74,6 +76,17 @@ def test_imports_do_not_load_numpy():
             f"import json, sys, {module}\nprint(json.dumps('numpy' in sys.modules))"
         )
         assert loaded is False, module
+
+
+def test_cli_import_without_site_hooks_leaves_pathlib_unloaded():
+    # python -S skips the site hooks, which load pathlib on some installs,
+    # so only the CLI's own imports count; --forms-file reads with open()
+    loaded = run_python(
+        "import json, sys, intersective.cli\n"
+        "print(json.dumps([m for m in ('pathlib', 'urllib.parse') if m in sys.modules]))",
+        flags=("-S",),
+    )
+    assert loaded == []
 
 
 def test_integer_subcommands_run_without_numpy():
