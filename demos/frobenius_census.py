@@ -12,8 +12,9 @@ the group-theoretic prediction:
    appear with frequencies 1/6, 1/2, 1/3
 2. the multiquadratic (x^2+1)(x^2+2)(x^2-2) has an elementary abelian
    group of order 4 acting on 6 roots
-3. the census is cross-checked internally: degree-1 parts must equal
-   the gcd root count at every prime, and parts must sum to the degree
+3. the census is checked internally at every prime: parts must sum to
+   the degree, no factor count may be negative, and Stickelberger's
+   parity must match the discriminant's quadratic character
 """
 
 from fractions import Fraction
@@ -47,8 +48,8 @@ def main():
         if missing:
             print(f"predicted types never observed: {sorted(missing)}")
         print()
-    print("every census above already passed the per-prime cross-check:")
-    print("parts sum to deg f and 1-parts equal the root count mod p")
+    print("every census above already passed the per-prime checks:")
+    print("parts sum to deg f, and Stickelberger's parity holds mod p")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
-"""Exact arithmetic on univariate integer polynomials."""
+"""Exact arithmetic on univariate integer polynomials.
+
+The subresultant remainder sequence of f and f' gives f*, disc(f) and
+the Sturm chain (sturm.py), and it is computed once per polynomial.
+"""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd as _int_gcd
 from typing import Iterable
 
@@ -198,7 +203,10 @@ def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(q)
 
 
-def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], int]:
+@lru_cache(maxsize=2)
+def subresultant_prs(
+    a: IntPoly, b: IntPoly
+) -> tuple[tuple[IntPoly, ...], tuple[int, ...], int]:
     """Subresultant remainder sequence of a and b, deg a >= deg b, b nonzero.
 
     Returns the elements S_0 = a, S_1 = b, S_2, ..., a sign per element
@@ -209,6 +217,9 @@ def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], 
     signs e_0 = e_1 = 1 and e_{i+1} = -e_{i-1} * sign(g) * sign(h)**delta
     * sign(lc S_i)**(delta + 1), e_i * S_i is a positive multiple of the
     i-th negated remainder of Euclid's algorithm on a and b.
+
+    The last two results are kept: (f*, f*'), and (primitive f, its
+    derivative) when f has a repeated factor.  They are read-only tuples.
     """
     seq, signs = [a, b], [1, 1]
     g = h = 1
@@ -225,59 +236,50 @@ def subresultant_prs(a: IntPoly, b: IntPoly) -> tuple[list[IntPoly], list[int], 
         if delta > 0:
             h, rem = divmod(g**delta, h ** (delta - 1))
             assert rem == 0
-    return seq, signs, h
-
-
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g), exactly, by the subresultant remainder sequence."""
-    if f.is_zero or g.is_zero:
-        return 0
-    s = 1
-    if f.degree < g.degree:
-        if f.degree % 2 == 1 and g.degree % 2 == 1:
-            s = -s
-        f, g = g, f
-    t = content(f) ** g.degree * content(g) ** f.degree
-    seq, _, h = subresultant_prs(primitive_part(f), primitive_part(g))
-    last, d = seq[-1], seq[-2].degree
-    if last.degree > 0:
-        return 0
-    for A, B in zip(seq, seq[1:]):
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            s = -s
-    final = last.lc**d
-    if d > 1:
-        final, rem = divmod(final, h ** (d - 1))
-        assert rem == 0
-    return s * t * final
+    return tuple(seq), tuple(signs), h
 
 
 def discriminant(f: IntPoly) -> int:
-    """disc(f) = (-1)**(d(d-1)/2) Res(f, f') / lc(f) for d = deg f >= 1."""
+    """disc(f) = (-1)**(d(d-1)/2) Res(f, f') / lc(f) for d = deg f >= 1.
+
+    Res(f, f') = (-1)**(sum of deg S_i * deg S_(i+1)) * lc(S_k)**e /
+    h**(e - 1), e = deg S_(k-1), when the sequence of f and f' ends in a
+    constant S_k, else 0 (Brown and Traub 1971; Cohen, GTM 138, 3.3.7).
+    """
     if f.is_zero:
         raise ValueError("the zero polynomial has no discriminant")
     d = f.degree
     if d < 1:
         raise ValueError("discriminant requires degree at least 1")
-    res = resultant(f, derivative(f))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    q, rem = divmod(sign * res, f.lc)
+    seq, _, h = subresultant_prs(f, derivative(f))
+    last, e = seq[-1], seq[-2].degree
+    if last.degree > 0:
+        return 0
+    res = last.lc**e
+    if e > 1:
+        res, rem = divmod(res, h ** (e - 1))
+        assert rem == 0
+    odd = d * (d - 1) // 2 + sum(A.degree * B.degree for A, B in zip(seq, seq[1:]))
+    q, rem = divmod(-res if odd % 2 else res, f.lc)
     assert rem == 0
     return q
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
-    """Primitive polynomial with the same complex roots as f, all simple.
+    """f*: primitive, with positive leading coefficient and the complex
+    roots of f, all simple; formed here and nowhere else.
 
-    primitive(f) divided by the primitive part of the last element of
-    the remainder sequence of f and f', which is gcd(f, f') up to a
-    scalar; the result has positive leading coefficient.
+    primitive(f), made to lead positive before its sequence with f' runs,
+    divided by the primitive part of the sequence's last element, gcd(f,
+    f') up to a scalar.  So for a squarefree f that sequence is (f*, f*').
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
     fp = primitive_part(f)
     if fp.degree == 0:
         return ONE
+    if fp.lc < 0:
+        fp = negate(fp)
     last = subresultant_prs(fp, derivative(fp))[0][-1]
     q = exact_div(fp, primitive_part(last)) if last.degree > 0 else fp
     return negate(q) if q.lc < 0 else q

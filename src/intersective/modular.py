@@ -10,8 +10,8 @@ of irreducible factor degrees.  Over a block of primes it comes from the
 distinct-degree counts D_k = deg gcd(f, x^(p^k) - x) = sum of m * c_m
 over m dividing k, each from the same gcd kernel, for k <= deg f / 2.
 Moebius inversion gives the counts c_m of factors of degree m <= deg f / 2,
-and the degree left over is one factor.  census_block gives root counts
-and cycle types from one powering of x^p mod f, and D_1 is the root count.
+and the degree left over is one factor.  census_block gives cycle types
+from one powering of x^p mod f; their 1-parts, D_1, are the root counts.
 
 Every gcd degree goes through one kernel, _gcd_degrees: the polynomial
 divsteps of Bernstein and Yang ("Fast constant-time gcd computation and
@@ -133,16 +133,16 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     return counts
 
 
-def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root counts and cycle types of squarefree f at every good prime.
+def census_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
+    """Cycle types of squarefree f at every good prime.
 
     Every prime must be good: p divides neither lc(f) nor disc(f).
-    Entry [i, m - 1] of the types is the number of irreducible factors
-    of degree m of f mod primes[i].  Both come from one powering of
-    x^p mod g: the distinct-degree counts D_k = deg gcd(g, x^(p^k) - x)
-    for k <= d/2 come from the gcd kernel (_gcd_degrees), Moebius
-    inversion over divisors yields the counts (see _cycle_types), and
-    the root count is D_1, the 1-part count.  The primes pass through in
+    Entry [i, m - 1] is the number of irreducible factors of degree m
+    of f mod primes[i], so column 0 holds the root counts.  All come
+    from one powering of x^p mod g: the distinct-degree counts
+    D_k = deg gcd(g, x^(p^k) - x) for k <= d/2 come from the gcd kernel
+    (_gcd_degrees), and Moebius inversion over divisors yields the
+    counts (see _cycle_types).  The primes pass through in
     chunks of _CHUNK_ENTRIES // d**2 lanes, the size of a Berlekamp
     matrix, or of _CHUNK_ENTRIES // d for d <= 3, which needs none.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
@@ -152,14 +152,14 @@ def census_block(f: IntPoly, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     d = f.degree
     n = int(primes.size)
     if n == 0 or d < 2:
-        return np.full(n, d, dtype=np.int64), np.ones((n, d), dtype=np.int64)
+        return np.ones((n, d), dtype=np.int64)
     p = _checked_primes(f, primes)
     types = np.empty((n, d), dtype=np.int64)
     lanes = max(1, _CHUNK_ENTRIES // (d * d if d > 3 else d))
     for lo in range(0, n, lanes):
         q = p[lo : lo + lanes]
         types[lo : lo + lanes] = _cycle_types(q, *_frobenius(f, q))
-    return types[:, 0].copy(), types
+    return types
 
 
 def _checked_primes(f: IntPoly, primes: np.ndarray) -> np.ndarray:
@@ -394,8 +394,8 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     chunks of _CHUNK_ENTRIES // d**2 lanes.  Moebius inversion gives
     m * c_m for m <= d/2; the degree left over is either 0 or one factor
     of degree above d/2.  Raises InvariantViolation, naming the prime,
-    when m * c_m is not a multiple of m or the leftover degree is
-    negative or at most d/2.
+    when some m * c_m is negative or not a multiple of m, or the
+    leftover degree is negative or at most d/2.
     """
     d, n = H.shape
     half = d // 2
@@ -426,7 +426,8 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
         mc[m - 1] = sum(_moebius(m // e) * D[e - 1] for e in range(1, m + 1) if m % e == 0)
     m_col = np.arange(1, half + 1)[:, None]
     left = d - mc.sum(axis=0)
-    wrong = (mc % m_col != 0).any(axis=0) | (left < 0) | ((left > 0) & (left <= half))
+    wrong = (mc < 0).any(axis=0) | (mc % m_col != 0).any(axis=0)
+    wrong |= (left < 0) | ((left > 0) & (left <= half))
     if wrong.any():
         i = int(np.flatnonzero(wrong)[0])
         raise InvariantViolation(

@@ -4,8 +4,9 @@ All arithmetic is over Z and Q.  A chain is f*, f*' and the primitive
 parts of the subresultant remainder sequence of f* and f*', each signed
 to be a positive multiple of the rational chain's negated remainder
 (intpoly.subresultant_prs), so every sign evaluation agrees with the
-rational chain.  f* is the squarefree part of f; for a squarefree f one
-remainder sequence gives both the chain and the proof that f* = f.
+rational chain.  f* is intpoly.squarefree_part(f), formed there and
+nowhere else; for a squarefree f the one remainder sequence it runs is
+the proof that f* = f, the chain, and in a scan also disc(f*).
 
 Isolating intervals come from bisection with Sturm counts.  Each is then
 narrowed by quadratic interval refinement (Abbott, "Quadratic interval
@@ -53,23 +54,17 @@ class Interval(_IntervalFields):
 
 
 def sturm_chain(f: IntPoly) -> list[IntPoly]:
-    """Sturm chain of squarefree_part(f); ends in a nonzero constant.
+    """Sturm chain of f* = squarefree_part(f); ends in a nonzero constant.
 
-    The remainder sequence runs on primitive f with positive leading
-    coefficient; only when it ends in a nonconstant gcd, that is when f
-    has a repeated factor, is it run again on the squarefree part.
+    It reads the kept sequence of (f*, f*'), run by squarefree_part(f)
+    itself when f is squarefree.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no Sturm chain")
     if f.degree < 1:
         raise ValueError("Sturm chain requires degree at least 1")
-    fstar = primitive_part(f)
-    if fstar.lc < 0:
-        fstar = negate(fstar)
+    fstar = squarefree_part(f)
     seq, signs, _ = subresultant_prs(fstar, derivative(fstar))
-    if seq[-1].degree > 0:
-        fstar = squarefree_part(f)
-        seq, signs, _ = subresultant_prs(fstar, derivative(fstar))
     chain = [fstar, derivative(fstar)]
     for s, e in zip(seq[2:], signs[2:]):
         chain.append(primitive_part(s if e > 0 else negate(s)))

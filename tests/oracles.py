@@ -5,7 +5,9 @@ Root counts by deg gcd(x^p - x, f mod p), roots by brute force, cycle
 types by distinct-degree factorization, the Jacobi symbol, and covering
 of a prime by a quadratic form, one prime at a time on Python ints;
 deterministic Miller-Rabin primality below 2**64; and over Z, the
-primitive remainder sequence: gcd, squarefree part and Sturm chain.
+primitive remainder sequence (gcd, squarefree part and Sturm chain) and
+the Sylvester determinant of a resultant, which the subresultant
+sequence is tested against.
 """
 
 from __future__ import annotations
@@ -369,3 +371,36 @@ def sturm_chain_by_primitive_prs(f: IntPoly) -> list[IntPoly]:
         assert not nxt.is_zero, "squarefree input produced a degenerate chain"
         chain.append(nxt)
     return chain
+
+
+def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
+    """Res(f, g) as the Sylvester matrix's determinant, by Bareiss's
+    fraction-free elimination."""
+    m, n = f.degree, g.degree
+    size = m + n
+    if size == 0:
+        return 1
+    rows = [[0] * size for _ in range(size)]
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        for j, c in enumerate(fc):
+            rows[i][i + j] = c
+    for i in range(m):
+        for j, c in enumerate(gc):
+            rows[n + i][i + j] = c
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if rows[r][k] != 0), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[size - 1][size - 1]

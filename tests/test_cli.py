@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
 from intersective.cli import build_parser, main
-from intersective.modular import count_roots_block
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -306,8 +306,8 @@ def test_degree_beyond_exact_int64_exits_2():
 
 def test_internal_check_failure_exits_3(monkeypatch):
     # cycle type (1, 1) at every prime: the parts miss the degree 3
-    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
-        count_roots_block(f, primes), np.tile([2, 0, 0], (primes.size, 1))))
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
+        [2, 0, 0], (primes.size, 1)))
     _, err = run_cli("census", "--poly", "x^3-2", "--to", "100", expect=3)
     assert err.startswith("internal check failed:")
     assert "p=5 " in err
@@ -316,12 +316,23 @@ def test_internal_check_failure_exits_3(monkeypatch):
 def test_census_breaking_stickelberger_exits_3(monkeypatch):
     # type (1, 1) with 2 roots at every prime: only the parity of
     # (8 | p) = -1 at p = 3 shows that x^2 - 2 does not split there
-    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
-        np.full(primes.size, 2), np.tile([2, 0], (primes.size, 1))))
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
+        [2, 0], (primes.size, 1)))
     _, err = run_cli("census", "--poly", "x^2-2", "--to", "100", expect=3)
     assert err.startswith("internal check failed:")
     assert "p=3 " in err and "Stickelberger" in err
 
+
+
+def test_census_with_a_negative_factor_count_exits_3(monkeypatch):
+    # D_1 = 6 and D_2 = D_3 = 0 for x^6 - x - 1: the kernel's sign test
+    # names the prime, so no negative count reaches the histogram
+    monkeypatch.setattr(modular_mod, "_gcd_degrees", lambda p, G, h: np.full(
+        h.shape[1], 6 if h.shape[1] == p.size else 0, dtype=np.int64))
+    _, err = run_cli("census", "--poly", "x^6-x-1", "--from", "101", "--to", "101",
+                     expect=3)
+    assert err.startswith("internal check failed:")
+    assert "p=101 " in err
 
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()

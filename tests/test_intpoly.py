@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersective.intpoly import (
     ONE,
@@ -13,44 +15,10 @@ from intersective.intpoly import (
     exact_div,
     multiply,
     primitive_part,
-    resultant,
     squarefree_part,
     to_text,
 )
-from oracles import poly_gcd
-
-
-def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
-    """Independent oracle: Bareiss fraction-free determinant of the
-    Sylvester matrix."""
-    m, n = f.degree, g.degree
-    size = m + n
-    if size == 0:
-        return 1
-    rows = [[0] * size for _ in range(size)]
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        for j, c in enumerate(fc):
-            rows[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(gc):
-            rows[n + i][i + j] = c
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if rows[r][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[size - 1][size - 1]
+from oracles import poly_gcd, sylvester_resultant
 
 
 def random_poly(rng, max_deg, max_coeff, nonzero=True):
@@ -142,32 +110,34 @@ def test_discriminant_rejects_constants():
         discriminant(IntPoly([3]))
 
 
-def test_resultant_against_sylvester_oracle():
-    rng = random.Random(2024)
-    for _ in range(300):
-        f = random_poly(rng, 6, 20)
-        g = random_poly(rng, 6, 20)
-        assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+    lead=st.integers(-9, 9).filter(bool),
+    scale=st.integers(1, 4),
+    squared=st.lists(st.integers(-3, 3), max_size=2),
+)
+def test_discriminant_matches_sylvester_oracle(coeffs, lead, scale, squared):
+    # degree 1 to 10: linear f, content up to 4, either sign of the
+    # leading coefficient, and squared linear factors, which make it 0
+    f = IntPoly([scale * c for c in coeffs] + [scale * lead])
+    for r in squared:
+        f = multiply(f, IntPoly([r * r, -2 * r, 1]))
+    d = f.degree
+    res = sylvester_resultant(f, derivative(f))
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    assert sign * res % f.lc == 0
+    assert discriminant(f) == sign * res // f.lc
+    if squared:
+        assert discriminant(f) == 0
 
 
-def test_resultant_shared_factor_vanishes():
-    rng = random.Random(7)
-    for _ in range(40):
-        h = random_poly(rng, 3, 10)
-        if h.degree == 0:
-            continue
-        f = multiply(h, random_poly(rng, 3, 10))
-        g = multiply(h, random_poly(rng, 3, 10))
-        assert resultant(f, g) == 0
-
-
-def test_resultant_multiplicative_in_first_argument():
-    rng = random.Random(8)
-    for _ in range(40):
-        f1 = random_poly(rng, 4, 10)
-        f2 = random_poly(rng, 4, 10)
-        g = random_poly(rng, 4, 10)
-        assert resultant(multiply(f1, f2), g) == resultant(f1, g) * resultant(f2, g)
+@pytest.mark.parametrize("n", [100, 922])
+def test_discriminant_of_x_to_the_n_minus_2(n):
+    # disc(x^n + a) = (-1)^(n(n-1)/2) n^n a^(n-1), at the CI polynomials
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    f = IntPoly([-2] + [0] * (n - 1) + [1])
+    assert discriminant(f) == sign * n**n * (-2) ** (n - 1)
 
 
 def test_squarefree_part_examples():

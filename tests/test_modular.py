@@ -359,7 +359,7 @@ def type_counts(ct, d):
 
 def assert_block_matches_oracle(fstar, primes):
     parr = np.array(primes, dtype=np.int64)
-    batch = census_block(fstar, parr)[1]
+    batch = census_block(fstar, parr)
     assert batch.shape == (len(primes), fstar.degree)
     for row, p in zip(batch.tolist(), primes):
         assert row == type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree), (
@@ -372,10 +372,10 @@ def good_primes(fstar, primes):
 
 
 def test_cycle_types_block_examples():
-    assert census_block(TRIPLE, np.array([7, 11], dtype=np.int64))[1].tolist() == [
+    assert census_block(TRIPLE, np.array([7, 11], dtype=np.int64)).tolist() == [
         [2, 2, 0, 0, 0, 0], type_counts(cycle_type_mod_p(TRIPLE, 11), 6)]
     cubic = IntPoly([-2, 0, 0, 1])
-    assert census_block(cubic, np.array([5, 7, 31], dtype=np.int64))[1].tolist() == [
+    assert census_block(cubic, np.array([5, 7, 31], dtype=np.int64)).tolist() == [
         [1, 1, 0], [0, 0, 1], [3, 0, 0]]
 
 
@@ -436,11 +436,9 @@ def test_cycle_types_block_int64_fallback():
 
 def test_cycle_types_block_empty_and_linear():
     empty = np.empty(0, dtype=np.int64)
-    counts, types = census_block(IntPoly([-2, 0, 0, 1]), empty)
-    assert counts.shape == (0,) and types.shape == (0, 3)
+    assert census_block(IntPoly([-2, 0, 0, 1]), empty).shape == (0, 3)
     arr = np.array([3, 5, 7], dtype=np.int64)
-    counts, types = census_block(IntPoly([4, 1]), arr)
-    assert counts.tolist() == [1, 1, 1] and types.tolist() == [[1], [1], [1]]
+    assert census_block(IntPoly([4, 1]), arr).tolist() == [[1], [1], [1]]
     with pytest.raises(ValueError):
         census_block(IntPoly([]), arr)
 
@@ -448,12 +446,12 @@ def test_cycle_types_block_empty_and_linear():
 def test_cycle_types_block_partial_chunk(monkeypatch):
     quintic = IntPoly([-1, -1, 0, 0, 0, 1])  # degree 5: D_2 is counted per chunk
     primes = good_primes(quintic, list(primes_in(2, 200)))
-    whole = census_block(quintic, np.array(primes, dtype=np.int64))[1]
+    whole = census_block(quintic, np.array(primes, dtype=np.int64))
     # chunks of 125 // 5**2 = 5 lanes, the last one partial
     monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 5 * 5**2)
     assert len(primes) % 5 != 0
     assert_block_matches_oracle(quintic, primes)
-    assert census_block(quintic, np.array(primes, dtype=np.int64))[1].tolist() == (
+    assert census_block(quintic, np.array(primes, dtype=np.int64)).tolist() == (
         whole.tolist())
 
 
@@ -487,8 +485,8 @@ def test_census_block_property(roots, quads, extra, primes):
     if not 2 <= fstar.degree <= 10:
         return
     good = good_primes(fstar, primes)
-    counts, types = census_block(fstar, np.array(good, dtype=np.int64))
-    for count, row, p in zip(counts.tolist(), types.tolist(), good):
+    types = census_block(fstar, np.array(good, dtype=np.int64))
+    for count, row, p in zip(types[:, 0].tolist(), types.tolist(), good):
         assert row == type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree), (
             fstar, p)
         assert count == count_roots_mod_p(fstar, p), (fstar, p)
@@ -499,8 +497,8 @@ def test_census_of_a_25_digit_coefficient_matches_oracles():
     big = 10**24 + 7
     for fstar in (IntPoly([big, -3, 0, 1]), IntPoly([5, 0, big, -1, 0, 1])):
         primes = good_primes(fstar, list(primes_in(3, 3000)))
-        counts, types = census_block(fstar, np.array(primes, dtype=np.int64))
-        assert counts.tolist() == [count_roots_mod_p(fstar, p) for p in primes]
+        types = census_block(fstar, np.array(primes, dtype=np.int64))
+        assert types[:, 0].tolist() == [count_roots_mod_p(fstar, p) for p in primes]
         assert types.tolist() == [
             type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree) for p in primes]
 
@@ -523,6 +521,17 @@ def test_census_refuses_distinct_degree_counts_that_fit_no_type(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"\[0, 1\] at p=3 "):
         census_block(quartic, parr)
 
+
+
+def test_census_refuses_a_negative_factor_count(monkeypatch):
+    # D_1 = 6 and D_2 = D_3 = 0 give 2 * c_2 = 3 * c_3 = -6: both divisible,
+    # and the leftover degree 12 passes for one large factor, so only the
+    # sign test names p = 101 (without it the types index past the degree)
+    sextic = IntPoly([-1, -1, 0, 0, 0, 0, 1])
+    monkeypatch.setattr(modular_mod, "_gcd_degrees", lambda p, G, h: np.full(
+        h.shape[1], 6 if h.shape[1] == p.size else 0, dtype=np.int64))
+    with pytest.raises(InvariantViolation, match=r"\[6, 0, 0\] at p=101 "):
+        census_block(sextic, np.array([101], dtype=np.int64))
 
 def fp_mul(a, b, p):
     """a * b over F_p, coefficient lists ascending."""
@@ -583,7 +592,7 @@ def test_census_block_matches_separate_kernels():
     for fstar in (IntPoly([-2, 0, 0, 1]), TRIPLE, IntPoly([4, 1])):
         for primes in (good_primes(fstar, list(primes_in(2, 3000))), []):
             parr = np.array(primes, dtype=np.int64)
-            counts = census_block(fstar, parr)[0]
+            counts = census_block(fstar, parr)[:, 0]
             assert counts.tolist() == count_roots_block(fstar, parr).tolist()
             assert_block_matches_oracle(fstar, primes)
 
@@ -642,8 +651,7 @@ def test_chunked_blocks_match_one_chunk_and_oracles(coeffs, lead, primes, entrie
     assert counts.tolist() == whole_counts.tolist() == [
         count_roots_mod_p(f, p) for p in primes]
     if census is not None:
-        assert census[0].tolist() == whole_census[0].tolist()
-        assert census[1].tolist() == whole_census[1].tolist() == [
+        assert census.tolist() == whole_census.tolist() == [
             type_counts(cycle_type_of_good_prime(fstar, p), fstar.degree) for p in good]
 
 
@@ -669,5 +677,5 @@ def test_block_kernels_hold_memory_bounded_by_the_chunk(kernel, f):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = peak - sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        held = peak - out.nbytes
         assert held < budget, (n, held)

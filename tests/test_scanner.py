@@ -7,7 +7,6 @@ import pytest
 import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
 from intersective.intpoly import IntPoly, discriminant
-from intersective.modular import count_roots_block
 from intersective.primes import PrimeRange, primes_in
 from intersective.quadcover import QuadForm
 from intersective.scanner import (
@@ -90,17 +89,17 @@ def test_scan_rejects_bad_inputs():
 
 def test_invariant_violation_raised_on_bogus_census(monkeypatch):
     # cycle type (1, 1) at every prime: the parts miss the degree 3
-    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
-        count_roots_block(f, primes), np.tile([2, 0, 0], (primes.size, 1))))
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
+        [2, 0, 0], (primes.size, 1)))
     with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=5 "):
         scan(IntPoly((-2, 0, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
 
 
 def test_bogus_census_breaking_stickelberger(monkeypatch):
-    # type (1, 1) with 2 roots passes the sum, root-count and sign checks,
+    # type (1, 1) passes the sum and sign checks,
     # but disc(x^2 - 2) = 8 is a nonresidue mod 3, so x^2 - 2 is irreducible
-    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: (
-        np.full(primes.size, 2), np.tile([2, 0], (primes.size, 1))))
+    monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
+        [2, 0], (primes.size, 1)))
     with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=3 .*Stickelberger"):
         scan(IntPoly((-2, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
 

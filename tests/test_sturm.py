@@ -14,6 +14,9 @@ from intersective.intpoly import (
     multiply,
     squarefree_part,
 )
+from intersective.primes import PrimeRange
+from intersective.quadcover import QuadForm
+from intersective.scanner import check_real_roots, check_real_roots_forms
 from intersective.sturm import (
     DEFAULT_MIN_WIDTH,
     Interval,
@@ -331,9 +334,9 @@ def test_wilkinson_refinement_sign_checks_are_logarithmic(monkeypatch):
     assert 0 < calls <= 100 * 20
 
 
-def test_isolation_of_a_squarefree_polynomial_runs_one_remainder_sequence(monkeypatch):
-    # the chain, the proof that f is squarefree and the root count all
-    # come from one sequence of at most d - 1 pseudo-remainders
+def prem_calls(monkeypatch, run) -> int:
+    """intpoly.prem calls made by run(), starting from no cached remainder
+    sequence; a sequence of f and f' makes at most deg f - 1 of them."""
     calls = 0
     pseudo_remainder = intpoly.prem
 
@@ -343,10 +346,46 @@ def test_isolation_of_a_squarefree_polynomial_runs_one_remainder_sequence(monkey
         return pseudo_remainder(*args)
 
     monkeypatch.setattr(intpoly, "prem", counted)
+    intpoly.subresultant_prs.cache_clear()
+    run()
+    monkeypatch.setattr(intpoly, "prem", pseudo_remainder)
+    return calls
+
+
+def test_isolation_of_a_squarefree_polynomial_runs_one_remainder_sequence(monkeypatch):
+    # the chain, the proof that f is squarefree and the root count all
+    # come from one sequence of at most d - 1 pseudo-remainders
     for f in (wilkinson(20), TRIPLE, IntPoly([-1, -1, 0, 0, 0, 0, 0, 1])):
-        calls = 0
-        isolate_real_roots(f, Fraction(1, 2**40))
+        calls = prem_calls(monkeypatch, lambda: isolate_real_roots(f, Fraction(1, 2**40)))
         assert 0 < calls <= f.degree - 1, (f, calls)
+
+
+def dense_poly(rng, d):
+    return IntPoly([rng.randint(-100, 100) for _ in range(d)] + [rng.randint(1, 100)])
+
+
+def test_check_runs_one_remainder_sequence_per_polynomial(monkeypatch):
+    # the scan's squarefree part and disc(f*) and the Sturm count share
+    # one sequence of (f*, f*'); a repeated factor adds the sequence of
+    # primitive f that finds it, and nothing more
+    primes = PrimeRange(2, 1000)
+    rng = random.Random(16)
+    f = dense_poly(rng, 40)
+    assert discriminant(f) != 0
+    calls = prem_calls(monkeypatch, lambda: check_real_roots(f, primes, workers=1))
+    assert 0 < calls <= f.degree - 1, calls
+
+    triple = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
+    calls = prem_calls(
+        monkeypatch, lambda: check_real_roots_forms(triple, primes, workers=1))
+    assert 0 < calls <= 5, calls
+
+    g = dense_poly(rng, 8)
+    f = multiply(multiply(g, g), dense_poly(rng, 10))
+    fstar = squarefree_part(f)
+    assert fstar.degree == 18
+    calls = prem_calls(monkeypatch, lambda: check_real_roots(f, primes, workers=1))
+    assert 0 < calls <= (f.degree - 1) + (fstar.degree - 1), calls
 
 
 # Sparse polynomials have degree gaps in their remainder sequences, and
