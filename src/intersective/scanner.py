@@ -5,11 +5,19 @@ many primes dividing 2 * lc(f*) * disc(f*), and counts distinct roots of
 f* at every remaining prime in the range.  Work is split into fixed
 absolute blocks merged in block order, so reports are identical for any
 worker count.
+
+A scan of several blocks on several workers forks one worker process
+per worker: worker i of w runs blocks i, i + w, i + 2w, ... and pipes
+its partial results back.  Where os.fork is missing, or the calling
+process already runs other Python threads, the blocks run in-process,
+as on one worker.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import threading
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -66,7 +74,11 @@ def resolve_workers(workers: int | None = None) -> int:
                 f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}"
             )
         return w
-    return min(8, os.cpu_count() or 1)
+    # a forked worker costs private memory: count the CPUs this process
+    # may run on, not the host's
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(8, cpus)
 
 
 def _scan_block(
@@ -134,6 +146,108 @@ def _parts(counts) -> tuple[int, ...]:
     return tuple(m for m, c in enumerate(counts, 1) for _ in range(c))
 
 
+def _run_forked(run, blocks: list[tuple[int, int]], nworkers: int) -> list:
+    """[run(lo, hi) for lo, hi in blocks], computed by nworkers forked
+    children; child i runs blocks i, i + nworkers, ...
+
+    Every child is reaped before this returns or raises.  The first
+    failure in block order is raised: a block's exception, with its type
+    and message, or an error naming the blocks of a child that exited
+    without a result, which counts at its first block.
+    """
+    parent = os.getpid()
+    children: dict = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for i in range(nworkers):
+            rfd, wfd = os.pipe()
+            pipe = open(rfd, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                pipe.close()
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _worker(run, blocks, i, nworkers, wfd, parent)
+            children[i] = (pid, pipe)
+            os.close(wfd)
+        outcomes = []
+        for i in range(nworkers):
+            pid, pipe = children[i]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[i]
+            outcomes.append(pickle.loads(data) if status == 0 else status)
+    finally:
+        # children are left here only when the parent itself failed
+        if children:
+            import signal
+
+            for pid, pipe in children.values():
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except OSError:  # reaped already
+                    pass
+
+    failures = []
+    partials: list = [None] * len(blocks)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, int):
+            spans = ", ".join(f"[{lo}, {hi}]" for lo, hi in blocks[i::nworkers])
+            code = os.waitstatus_to_exitcode(outcome)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            failures.append((i, RuntimeError(
+                f"scan worker {i} of {nworkers} (blocks {spans}) exited "
+                f"without a result: {how}")))
+        elif outcome[0] is not None:
+            failures.append(outcome)
+        else:
+            partials[i::nworkers] = outcome[1]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return partials
+
+
+def _worker(run, blocks, first: int, step: int, wfd: int, parent: int):
+    """Body of forked worker `first`: pickle (None, its partials), or the
+    index and exception of its first failing block, into wfd.
+
+    It ignores SIGINT (the parent kills it on an interrupt) and leaves by
+    os._exit, so it never returns into the parent's frames and never
+    flushes the stdio buffers it copied from the parent.  Orphaned (the
+    parent was killed outright), it stops before its next block.
+    """
+    code = 1
+    try:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        index = first
+        try:
+            partials = []
+            for index in range(first, len(blocks), step):
+                if os.getppid() != parent:
+                    os._exit(1)
+                partials.append(run(*blocks[index]))
+            outcome = (None, partials)
+        except BaseException as exc:
+            outcome = (index, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:
+            data = pickle.dumps((index, RuntimeError(
+                f"scan worker {first} could not send {outcome[1]!r}: {exc!r}")))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(wfd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def scan(
     f: IntPoly,
     rng: PrimeRange,
@@ -161,23 +275,17 @@ def scan(
         blocks.append((max(rng.lo, start), min(rng.hi, start + BLOCK_SPAN - 1)))
         start += BLOCK_SPAN
 
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(blocks) == 1:
-        partials = [
-            _scan_block(fstar, disc, blo, bhi, with_cycle_types)
-            for blo, bhi in blocks
-        ]
-    else:
-        # imported here: a one-block job never loads concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
+    nworkers = min(resolve_workers(workers), len(blocks))
 
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            partials = list(
-                pool.map(
-                    lambda blk: _scan_block(fstar, disc, blk[0], blk[1], with_cycle_types),
-                    blocks,
-                )
-            )
+    def run(lo: int, hi: int) -> tuple[Counter, Counter | None, list[int]]:
+        return _scan_block(fstar, disc, lo, hi, with_cycle_types)
+
+    # a child forked beside other threads can deadlock on a lock one of
+    # them held at the fork
+    if nworkers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        partials = [run(lo, hi) for lo, hi in blocks]
+    else:
+        partials = _run_forked(run, blocks, nworkers)
 
     hist: Counter = Counter()
     cyc: Counter | None = Counter() if with_cycle_types else None

@@ -13,6 +13,7 @@ import pytest
 import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
 from intersective.cli import build_parser, main
+from intersective.parse import InvariantViolation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -322,6 +323,26 @@ def test_census_breaking_stickelberger_exits_3(monkeypatch):
     assert err.startswith("internal check failed:")
     assert "p=3 " in err and "Stickelberger" in err
 
+
+def test_a_failing_scan_worker_exits_3_as_on_one_thread(monkeypatch):
+    # the middle of three blocks fails: on two workers, in the second child
+    count = scanner_mod.count_roots_block
+
+    def patched(f, primes):
+        if scanner_mod.BLOCK_SPAN < primes[0] < 2 * scanner_mod.BLOCK_SPAN:
+            raise InvariantViolation(f"no roots counted from p={int(primes[0])}")
+        return count(f, primes)
+
+    monkeypatch.setattr(scanner_mod, "count_roots_block", patched)
+    errs = []
+    for w in ("1", "2", "8"):
+        monkeypatch.setenv("INTERSECTIVE_THREADS", w)
+        out, err = run_cli("scan", "--poly", "x^2+1", "--to", "600000", expect=3)
+        assert out == ""
+        errs.append(err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errs == ["internal check failed: no roots counted from p=262147\n"] * 3
 
 
 def test_census_with_a_negative_factor_count_exits_3(monkeypatch):

@@ -1,3 +1,6 @@
+import os
+import signal
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -126,6 +129,139 @@ def test_reports_identical_across_worker_counts():
     for f in (IntPoly((1, 0, 1)), tenth):
         reports = [scan(f, rng, workers=w) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
+    # a census: its cycle-type Counter, keyed by tuples, crosses the pipe
+    quintic = IntPoly((-1, -1, 0, 0, 0, 1))
+    reports = [scan(quintic, rng, with_cycle_types=True, workers=w) for w in (1, 2, 8)]
+    assert reports[0] == reports[1] == reports[2]
+    assert sum(reports[0].cycle_type_histogram.values()) == reports[0].good_prime_count
+
+
+SEVERAL_BLOCKS = PrimeRange(2, 600_000)  # blocks [2, B - 1], [B, 2B - 1], [2B, 600000]
+
+
+def count_forks(monkeypatch):
+    """The pids of the children forked from now on, in order."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_middle_block(monkeypatch, action):
+    """Make count_roots_block call action() on the primes of the middle
+    block, which a scan of SEVERAL_BLOCKS on two workers gives to worker 1."""
+    count = scanner_mod.count_roots_block
+
+    def patched(f, primes):
+        if scanner_mod.BLOCK_SPAN < primes[0] < 2 * scanner_mod.BLOCK_SPAN:
+            action()
+        return count(f, primes)
+
+    monkeypatch.setattr(scanner_mod, "count_roots_block", patched)
+
+
+def test_multi_block_scans_fork_one_child_per_worker(monkeypatch):
+    forks = count_forks(monkeypatch)
+    f = IntPoly((1, 0, 1))
+    ref = scan(f, SEVERAL_BLOCKS, workers=1)
+    assert forks == []
+    assert scan(f, PrimeRange(2, 1000), workers=2) == scan(f, PrimeRange(2, 1000), workers=1)
+    assert forks == []  # one block
+    assert scan(f, SEVERAL_BLOCKS, workers=2) == ref
+    assert len(forks) == 2
+    assert scan(f, SEVERAL_BLOCKS, workers=8) == ref
+    assert len(forks) == 2 + 3  # never more children than blocks
+    assert_no_child_left()
+
+
+def test_blocks_run_in_process_beside_other_threads_or_without_fork(monkeypatch):
+    forks = count_forks(monkeypatch)
+    f = IntPoly((1, 0, 1))
+    ref = scan(f, SEVERAL_BLOCKS, workers=1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert scan(f, SEVERAL_BLOCKS, workers=2) == ref
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    assert scan(f, SEVERAL_BLOCKS, workers=2) == ref
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    # every block from the second on fails: the first failure in block
+    # order is raised, with its type and message, on any worker count
+    count = scanner_mod.count_roots_block
+
+    def patched(f, primes):
+        if primes[0] > scanner_mod.BLOCK_SPAN:
+            raise InvariantViolation(f"no roots counted from p={int(primes[0])}")
+        return count(f, primes)
+
+    monkeypatch.setattr(scanner_mod, "count_roots_block", patched)
+    forks = count_forks(monkeypatch)
+    for workers in (1, 2, 8):
+        with pytest.raises(InvariantViolation, match="^no roots counted from p=262147$"):
+            scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=workers)
+    assert len(forks) == 2 + 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(7), "exit status 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+])
+def test_a_worker_that_dies_is_named_with_its_blocks(monkeypatch, death, how):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "the middle block ran in the test process"
+        death()
+
+    fail_in_middle_block(monkeypatch, die)
+    with pytest.raises(RuntimeError) as info:
+        scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
+    assert str(info.value) == (
+        "scan worker 1 of 2 (blocks [262144, 524287]) exited without a result: " + how)
+    assert_no_child_left()
+
+
+def test_an_orphaned_worker_stops_before_its_next_block(monkeypatch):
+    # a parent killed outright cannot reap: its workers see a new parent
+    # pid and leave rather than finish their blocks
+    monkeypatch.setattr(os, "getppid", lambda: 1)
+    with pytest.raises(RuntimeError, match=r"^scan worker 0 of 2 \(blocks \[2, 262143\], "
+                       r"\[524288, 600000\]\) exited without a result: exit status 1$"):
+        scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
+    assert_no_child_left()
+
+
+def test_an_interrupted_parent_reaps_every_child(monkeypatch):
+    loads = scanner_mod.pickle.loads
+
+    def interrupt(data):
+        loads(data)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scanner_mod.pickle, "loads", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
+    assert_no_child_left()
 
 
 def test_bad_primes_of_a_huge_discriminant():
@@ -164,6 +300,21 @@ def test_resolve_workers(monkeypatch):
         resolve_workers()
     monkeypatch.delenv("INTERSECTIVE_THREADS")
     assert resolve_workers() >= 1
+
+
+def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("INTERSECTIVE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
+    assert resolve_workers() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert resolve_workers() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
 
 
 def test_check_real_roots_empirical():

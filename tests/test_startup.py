@@ -141,28 +141,31 @@ def test_prime_array_subcommands_load_numpy():
     assert json.loads(out)["histogram"] == {"0": 13, "2": 11}
 
 
-def test_one_block_jobs_do_not_load_the_thread_pool():
-    # a census to 10^5 is one scan block: concurrent.futures stays unloaded,
-    # while a scan over several blocks on two workers loads it
-    loaded = run_python(
-        "import contextlib, io, json, sys\n"
+def test_only_multi_block_scans_fork_workers():
+    # a census to 10^5 is one scan block and forks nothing, while a scan
+    # over three blocks on two workers forks exactly two children; no
+    # job loads a thread pool
+    forks = run_python(
+        "import contextlib, io, json, os, sys\n"
         "from intersective.cli import main\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(os.getpid()))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['census', '--poly', 'x^5-x-1', '--to', '100000']) == 0\n"
-        "before = 'concurrent.futures' in sys.modules\n"
+        "census = len(forks)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['scan', '--poly', 'x^2+1', '--to', '600000']) == 0\n"
-        "print(json.dumps([before, 'concurrent.futures' in sys.modules]))\n",
+        "print(json.dumps([census, len(forks), 'concurrent.futures' in sys.modules]))\n",
         INTERSECTIVE_THREADS="2",
     )
-    assert loaded == [False, True]
+    assert forks == [0, 2, False]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="needs /proc/self/status")
 def test_cli_runs_numpy_jobs_on_one_thread():
-    # the pin keeps OpenBLAS from starting its worker thread; a census to
-    # 10^5 is one block, so the scan pool starts no thread either.  The
+    # the pin keeps OpenBLAS from starting its worker thread, and a scan
+    # forks worker processes rather than starting threads.  The
     # test process may hold the pin already (other tests import the CLI),
     # so the child starts without it.
     threads = run_python(
