@@ -4,7 +4,13 @@ Subcommands: scan, cover, realroots, census, check, density.  Output is
 JSON by default (--format json|tsv|text).  Exit codes: 0 on success
 (a fails-to-cover verdict is a success), 1 if stdout was closed before
 the output was written (as by `| head`), 2 on usage or input errors,
-3 if an internal cross-check fails.
+3 if an internal cross-check fails, 4 if a scan worker exited without
+a result (a signal, an out-of-memory kill).
+
+main() is the in-process entry and returns the exit code.  run() is the
+entry of `python -m intersective.cli` and of the `intersective` script:
+it calls main(), flushes stdout and stderr, and leaves by os._exit,
+skipping the interpreter's teardown once the answer is written.
 
 The scanner and the sieve are imported by the handlers that use them, so
 numpy loads only where a prime-array kernel runs: realroots, density and
@@ -18,7 +24,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 # No kernel does BLAS work (the only matrix products are on int64), yet
 # OpenBLAS starts an idle worker thread that spins when numpy loads.  The
@@ -34,6 +40,7 @@ from .parse import (
     FormParseError,
     InvariantViolation,
     PolyParseError,
+    WorkerLost,
     parse_form,
     parse_poly,
     read_forms_file,
@@ -248,8 +255,29 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 
+def run() -> NoReturn:
+    """Exit with main()'s code, without the interpreter's teardown.
+
+    By the time main() returns, its answer is written, every scan worker
+    has been reaped, and no thread or atexit handler of the package is
+    left, so the flushes below are all that os._exit skips that matters.
+    An exception, argparse's SystemExit or an interrupt escaping main()
+    takes Python's normal exit, with its traceback or usage message.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -29,8 +29,9 @@ census_block check the whole block once, then take its primes one lane
 chunk at a time through every stage (coefficient reduction, monic g,
 powering, gcd, and for a census the distinct-degree counts) and write
 each chunk's counts and types straight into the block's output.  So no
-array of deg f times the block's primes exists, and a thread's working
-set is a small multiple of _CHUNK_ENTRIES entries whatever the block size.
+array of deg f times the block's primes exists, and a scan worker's
+working set is a small multiple of _CHUNK_ENTRIES entries whatever the
+block size.
 
 Exact residues of big integers mod prime arrays (_residues) serve the
 reduction of the coefficients, the scanner's bad-prime filter and

@@ -5,9 +5,10 @@ as expressions like "x^2+1" and "(x^2+1)(x^2+2)(x^2-2)".  Rational
 coefficients are accepted and cleared to a primitive integer polynomial.
 Forms are comma triples "a,b,c".
 
-The limits on scanned ranges and the error raised when an internal
-cross-check fails live here too, with the input errors: the command
-line needs them before it loads the numpy-backed scanner.
+The limits on scanned ranges and the errors raised when an internal
+cross-check fails or a scan worker is lost live here too, with the input
+errors: the command line needs them before it loads the numpy-backed
+scanner.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class FormParseError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A cycle-type census failed one of its checks at some prime."""
+
+
+class WorkerLost(RuntimeError):
+    """A forked scan worker exited without a result, or could not send one."""
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xX])|(\*\*)|([()+\-*/^]))")

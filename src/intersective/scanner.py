@@ -30,6 +30,7 @@ from .parse import (
     DEFAULT_SCAN_CAP,  # re-exported
     HARD_SCAN_CAP,
     InvariantViolation,
+    WorkerLost,
 )
 from .primes import PrimeRange, iter_prime_arrays
 from .quadcover import (
@@ -152,7 +153,7 @@ def _run_forked(run, blocks: list[tuple[int, int]], nworkers: int) -> list:
 
     Every child is reaped before this returns or raises.  The first
     failure in block order is raised: a block's exception, with its type
-    and message, or an error naming the blocks of a child that exited
+    and message, or a WorkerLost naming the blocks of a child that exited
     without a result, which counts at its first block.
     """
     parent = os.getpid()
@@ -199,7 +200,7 @@ def _run_forked(run, blocks: list[tuple[int, int]], nworkers: int) -> list:
             spans = ", ".join(f"[{lo}, {hi}]" for lo, hi in blocks[i::nworkers])
             code = os.waitstatus_to_exitcode(outcome)
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            failures.append((i, RuntimeError(
+            failures.append((i, WorkerLost(
                 f"scan worker {i} of {nworkers} (blocks {spans}) exited "
                 f"without a result: {how}")))
         elif outcome[0] is not None:
@@ -238,7 +239,7 @@ def _worker(run, blocks, first: int, step: int, wfd: int, parent: int):
         try:
             data = pickle.dumps(outcome)
         except Exception as exc:
-            data = pickle.dumps((index, RuntimeError(
+            data = pickle.dumps((index, WorkerLost(
                 f"scan worker {first} could not send {outcome[1]!r}: {exc!r}")))
         view = memoryview(data)
         while view:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -345,6 +346,48 @@ def test_a_failing_scan_worker_exits_3_as_on_one_thread(monkeypatch):
     assert errs == ["internal check failed: no roots counted from p=262147\n"] * 3
 
 
+class Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("unpicklable")
+        self.hook = lambda: None
+
+
+def raise_unpicklable():
+    raise Unpicklable
+
+
+@pytest.mark.parametrize("death, errors", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), {
+        "2": "error: scan worker 0 of 2 (blocks [2, 262143], [524288, 600000]) "
+             "exited without a result: killed by signal 9\n",
+        "8": "error: scan worker 0 of 3 (blocks [2, 262143]) "
+             "exited without a result: killed by signal 9\n",
+    }),
+    (raise_unpicklable, {
+        w: "error: scan worker 0 could not send Unpicklable('unpicklable'): "
+        for w in ("2", "8")
+    }),
+])
+def test_a_lost_scan_worker_exits_4(monkeypatch, death, errors):
+    # every block fails in its worker; the test process must never run one
+    parent = os.getpid()
+
+    def patched(f, primes):
+        if os.getpid() != parent:
+            death()
+        raise AssertionError("a block ran in the test process")
+
+    monkeypatch.setattr(scanner_mod, "count_roots_block", patched)
+    for w, expected in errors.items():
+        monkeypatch.setenv("INTERSECTIVE_THREADS", w)
+        out, err = run_cli("scan", "--poly", "x^2+1", "--to", "600000", expect=4)
+        assert out == ""
+        assert err.startswith(expected) and err.count("\n") == 1
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_census_with_a_negative_factor_count_exits_3(monkeypatch):
     # D_1 = 6 and D_2 = D_3 = 0 for x^6 - x - 1: the kernel's sign test
     # names the prime, so no negative count reaches the histogram
@@ -370,6 +413,41 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert "Traceback" not in proc.stderr.decode()
     assert proc.returncode == 1
+
+
+def run_entry(*argv):
+    """One `python -m intersective.cli` run with stdout and stderr on
+    pipes and PYTHONUNBUFFERED removed, so a missing flush would lose
+    output."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get(
+        "PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "intersective.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_the_cli_entry_flushes_before_it_exits(monkeypatch):
+    # Wilkinson-20 at 2^-3000 prints about 73 KiB, more than a pipe holds
+    wilkinson = "*".join(f"(x-{k})" for k in range(1, 21))
+    jobs = [("realroots", "--poly", wilkinson, "--precision", "3000"),
+            ("census", "--poly", "x^3-2", "--to", "600000")]
+    monkeypatch.setenv("INTERSECTIVE_THREADS", "2")  # the census forks
+    sizes = []
+    for argv in jobs:
+        out, _ = run_cli(*argv)
+        proc = run_entry(*argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.encode()
+        sizes.append(len(proc.stdout))
+    assert sizes[0] > 1 << 16
+
+    proc = run_entry("scan", "--poly", "x^2+", "--to", "100")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: polynomial expression ended unexpectedly\n"
+    # argparse's usage errors take Python's own exit
+    proc = run_entry("scan", "--poly", "x^2+1")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"usage: intersective scan")
 
 
 def test_missing_subcommand_is_argparse_error():
