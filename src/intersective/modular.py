@@ -33,10 +33,17 @@ array of deg f times the block's primes exists, and a scan worker's
 working set is a small multiple of _CHUNK_ENTRIES entries whatever the
 block size.
 
-Exact residues of big integers mod prime arrays (_residues) serve the
-reduction of the coefficients, the scanner's bad-prime filter and
-Stickelberger check, and the batched Euler criterion of the
-example-prime search that a fails-to-cover verdict runs.
+The kernels see only what a scan cannot count more cheaply: the scanner
+counts the roots and parts of the factors of degree <= 2 of f* by
+Euler's criterion (scanner._good_prime_counts, factor.small_factors) and
+passes the cofactor of degree >= 3, if any, to count_roots_block or
+census_block.  The int64 bound is checked on deg f* all the same.
+
+Exact residues of big integers mod prime arrays (_residues) and the
+batched Euler criterion (_batch_powmod) serve the reduction of the
+coefficients, the scanner's bad-prime filter, its root counts of
+quadratic factors and its Stickelberger check, and the example-prime
+search that a fails-to-cover verdict runs.
 """
 
 from __future__ import annotations
@@ -63,13 +70,25 @@ _CHUNK_ENTRIES = 1 << 16
 
 
 def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Elementwise base**exp mod p on int64 arrays."""
+    """Elementwise base**exp mod p on int64 arrays, exp >= 0 and p**2 < 2**63.
+
+    Square and multiply on residues in [0, p), so np.fmod never sees a
+    negative entry; a lane whose bit is clear multiplies by 1, branch-free.
+    """
     acc = np.ones_like(p)
     b = base % p
     e = exp.copy()
-    while e.max() > 0:
-        np.copyto(acc, acc * b % p, where=(e & 1).astype(bool))
-        b = b * b % p
+    bit = np.empty_like(e)
+    for _ in range(int(e.max()).bit_length()):
+        np.bitwise_and(e, 1, out=bit)
+        b -= 1
+        bit *= b
+        b += 1
+        bit += 1
+        acc *= bit
+        np.fmod(acc, p, out=acc)
+        b *= b
+        np.fmod(b, p, out=b)
         e >>= 1
     return acc
 
@@ -163,6 +182,22 @@ def census_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     return types
 
 
+def _check_int64_bound(d: int, primes: np.ndarray) -> None:
+    """Raises ValueError naming the largest prime when d * pmax**2 >= 2**63.
+
+    Lazy bound: a product entry sums at most d products of residues in
+    [0, p), so it lies in [0, d * (p - 1)**2], and the reduction of the
+    square, or of x times the square (_reduce_mod_g), subtracts at most d
+    more, each in [0, (p - 1)**2].  Entries stay within d * p**2.
+    """
+    pmax = int(primes.max())
+    if d * pmax * pmax >= _INT64_LIMIT:
+        raise ValueError(
+            f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
+            "(needs deg * p**2 < 2**63)"
+        )
+
+
 def _checked_primes(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     """The primes as int64, once every one is known to fit the kernels.
 
@@ -170,17 +205,7 @@ def _checked_primes(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     and else naming the first prime that divides lc(f).  Both checks run
     on the whole block before any chunk is powered.
     """
-    d = f.degree
-    pmax = int(primes.max())
-    # Lazy bound: a product entry sums at most d products of residues in
-    # [0, p), so it lies in [0, d * (p - 1)**2], and the reduction of the
-    # square, or of x times the square (_reduce_mod_g), subtracts at most
-    # d more, each in [0, (p - 1)**2].  Entries stay within d * p**2.
-    if d * pmax * pmax >= _INT64_LIMIT:
-        raise ValueError(
-            f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
-            "(needs deg * p**2 < 2**63)"
-        )
+    _check_int64_bound(f.degree, primes)
     p = np.asarray(primes, dtype=np.int64)
     bad = np.flatnonzero(_residues(f.lc, p) == 0)
     if bad.size:

@@ -6,6 +6,13 @@ f* at every remaining prime in the range.  Work is split into fixed
 absolute blocks merged in block order, so reports are identical for any
 worker count.
 
+Before the blocks run, factor.small_factors splits off the factors of
+f* of degree <= 2 over Z.  At a good prime a linear factor has one root
+and a quadratic factor of discriminant D two or none as (D | p) = 1 or
+-1, by a batched Euler criterion; only the cofactor of degree >= 3 goes
+to the Frobenius kernels of `modular` (_good_prime_counts).  Cycle types
+combine the same way and are checked on f* as a whole (_scan_block).
+
 A scan of several blocks on several workers forks one worker process
 per worker: worker i of w runs blocks i, i + w, i + 2w, ... and pipes
 its partial results back.  Where os.fork is missing, or the calling
@@ -24,8 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .factor import SmallFactors, small_factors
 from .intpoly import IntPoly, discriminant, squarefree_part
-from .modular import _batch_powmod, _residues, census_block, count_roots_block
+from .modular import (
+    _batch_powmod,
+    _check_int64_bound,
+    _residues,
+    census_block,
+    count_roots_block,
+)
 from .parse import (
     DEFAULT_SCAN_CAP,  # re-exported
     HARD_SCAN_CAP,
@@ -85,19 +99,20 @@ def resolve_workers(workers: int | None = None) -> int:
 def _scan_block(
     fstar: IntPoly,
     disc: int,
+    split: SmallFactors,
     lo: int,
     hi: int,
     with_cycle_types: bool,
 ) -> tuple[Counter, Counter | None, list[int]]:
     """Root-count histogram, cycle types and excluded primes of one block;
-    disc is disc(f*).
+    disc is disc(f*) and split its factors of degree <= 2 (small_factors).
 
-    Each census is checked at every prime: the parts sum to deg f*, no
-    count is negative, and Stickelberger's parity (disc f* | p) =
-    (-1)^(deg f* - number of parts) holds, by one batched Euler criterion
-    that shares nothing with the Frobenius powering.  The census kernel
-    itself refuses distinct-degree counts that fit no factorization
-    (modular._cycle_types), and its 1-parts are the root counts.
+    Each census is checked at every prime on f* as a whole, whichever
+    path gave its parts: the parts sum to deg f*, no count is negative,
+    and Stickelberger's parity (disc f* | p) = (-1)^(deg f* - number of
+    parts) holds, by one batched Euler criterion on disc f* that shares
+    nothing with the Frobenius powering.  The census kernel itself refuses
+    distinct-degree counts that fit no factorization (modular._cycle_types).
     """
     bad = 2 * abs(fstar.lc) * abs(disc)
     hist: Counter = Counter()
@@ -111,11 +126,8 @@ def _scan_block(
             parr = parr[good_mask]
         if parr.size == 0:
             continue
-        if cyc is None:
-            counts = count_roots_block(fstar, parr)
-        else:
-            types = census_block(fstar, parr)
-            counts = types[:, 0]
+        counts, types = _good_prime_counts(split, degree, parr, with_cycle_types)
+        if types is not None:
             wrong = (types @ np.arange(1, degree + 1) != degree) | (types < 0).any(axis=1)
             if wrong.any():
                 i = int(np.flatnonzero(wrong)[0])
@@ -140,6 +152,40 @@ def _scan_block(
         for k in np.flatnonzero(tally).tolist():
             hist[k] += int(tally[k])
     return hist, cyc, excluded
+
+
+def _good_prime_counts(
+    split: SmallFactors, degree: int, parr: np.ndarray, with_cycle_types: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Root counts of f* = product of split at good primes, and with
+    with_cycle_types the counts per factor degree (entry m - 1 for m).
+
+    At a good prime the factors stay coprime and keep their degrees, so
+    counts add up over them: a linear factor has 1 root, a quadratic one
+    of discriminant D has 2 roots, type (1, 1), or none, type (2), as
+    (D | p) = 1 or -1 by Euler's criterion, and the cofactor, if any, goes
+    to the kernels of `modular`.  The int64 bound of those kernels is
+    checked on deg f*, whatever the factors.
+    """
+    _check_int64_bound(degree, parr)
+    # inert: the number of quadratic factors with no root, 0 if there are none
+    inert = sum(
+        _batch_powmod(_residues(b * b - 4 * a * c, parr), parr >> 1, parr) != 1
+        for c, b, a in (q.coeffs for q in split.quadratic)
+    )
+    ones = len(split.linear) + 2 * len(split.quadratic) - 2 * inert
+    rest = split.cofactor
+    if not with_cycle_types:
+        counts = count_roots_block(rest, parr) if rest.degree else np.zeros_like(parr)
+        counts += ones
+        return counts, None
+    types = np.zeros((parr.size, degree), dtype=np.int64)
+    if rest.degree:
+        types[:, : rest.degree] = census_block(rest, parr)
+    types[:, 0] += ones
+    if split.quadratic:
+        types[:, 1] += inert
+    return types[:, 0], types
 
 
 def _parts(counts) -> tuple[int, ...]:
@@ -269,6 +315,7 @@ def scan(
         raise ValueError(f"scan range end {rng.hi} exceeds the cap {HARD_SCAN_CAP}")
     fstar = squarefree_part(f)
     disc = discriminant(fstar)
+    split = small_factors(fstar)  # once, before any worker is forked
 
     blocks = []
     start = (rng.lo // BLOCK_SPAN) * BLOCK_SPAN
@@ -279,7 +326,7 @@ def scan(
     nworkers = min(resolve_workers(workers), len(blocks))
 
     def run(lo: int, hi: int) -> tuple[Counter, Counter | None, list[int]]:
-        return _scan_block(fstar, disc, lo, hi, with_cycle_types)
+        return _scan_block(fstar, disc, split, lo, hi, with_cycle_types)
 
     # a child forked beside other threads can deadlock on a lock one of
     # them held at the fork
@@ -353,18 +400,44 @@ def check_real_roots_forms(
 
     The minimum root count over Frobenius classes is exact, and the
     product polynomial must have at least that many distinct real roots.
+    Every good prime's Frobenius lies in one of the classes, so a root
+    count of the scan that no class gives raises InvariantViolation,
+    naming the count and the least prime of rng where it occurs.
     """
     from .sturm import count_real_roots
 
     dist = exact_root_distribution(forms)
     f = product_polynomial(forms)
     report = scan(f, rng, workers=workers)
+    stray = [k for k in report.histogram if k not in dist.densities]
+    if stray:
+        raise InvariantViolation(
+            f"{f} has {stray[0]} roots mod p={_least_prime_with(f, rng, stray[0])}, "
+            f"a count no Frobenius class of the forms gives "
+            f"(exact counts {sorted(dist.densities)})"
+        )
     real = count_real_roots(f)
     verdict = "consistent" if real >= dist.min_roots else "inconsistent"
     check = RealRootCheck(
         report.min_roots_observed, real, dist.min_roots, verdict, "exact"
     )
     return check, report, dist
+
+
+def _least_prime_with(f: IntPoly, rng: PrimeRange, count: int) -> int | None:
+    """The least good prime of rng at which f* has count roots, found by
+    the root counts scan() takes; only a failing check runs it."""
+    fstar = squarefree_part(f)
+    split = small_factors(fstar)
+    bad = 2 * fstar.lc * discriminant(fstar)
+    for parr in iter_prime_arrays(rng.lo, rng.hi):
+        parr = parr[_residues(bad, parr) != 0]
+        if parr.size:
+            counts, _ = _good_prime_counts(split, fstar.degree, parr, False)
+            hit = np.flatnonzero(counts == count)
+            if hit.size:
+                return int(parr[hit[0]])
+    return None
 
 
 class DensityRow(NamedTuple):

@@ -316,13 +316,24 @@ def test_internal_check_failure_exits_3(monkeypatch):
 
 
 def test_census_breaking_stickelberger_exits_3(monkeypatch):
-    # type (1, 1) with 2 roots at every prime: only the parity of
-    # (8 | p) = -1 at p = 3 shows that x^2 - 2 does not split there
+    # type (1, 1, 1) with 3 roots at every prime: only the parity of
+    # (-108 | p) = -1 at p = 5 shows that x^3 - 2 does not split there
     monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
-        [2, 0], (primes.size, 1)))
-    _, err = run_cli("census", "--poly", "x^2-2", "--to", "100", expect=3)
+        [3, 0, 0], (primes.size, 1)))
+    _, err = run_cli("census", "--poly", "x^3-2", "--to", "100", expect=3)
     assert err.startswith("internal check failed:")
-    assert "p=3 " in err and "Stickelberger" in err
+    assert "p=5 " in err and "Stickelberger" in err
+
+
+def test_check_with_a_root_count_of_no_class_exits_3(monkeypatch):
+    # Euler's criterion made to call every quadratic factor inert: 0 roots
+    # at every good prime, where the classes of the triple give 2 or 6
+    monkeypatch.setattr(scanner_mod, "_batch_powmod", lambda b, e, p: np.zeros_like(p))
+    out, err = run_cli("check", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2",
+                       "--to", "1000", expect=3)
+    assert out == ""
+    assert err == ("internal check failed: x^6+x^4-4x^2-4 has 0 roots mod p=5, a count "
+                   "no Frobenius class of the forms gives (exact counts [2, 6])\n")
 
 
 def test_a_failing_scan_worker_exits_3_as_on_one_thread(monkeypatch):
@@ -338,7 +349,8 @@ def test_a_failing_scan_worker_exits_3_as_on_one_thread(monkeypatch):
     errs = []
     for w in ("1", "2", "8"):
         monkeypatch.setenv("INTERSECTIVE_THREADS", w)
-        out, err = run_cli("scan", "--poly", "x^2+1", "--to", "600000", expect=3)
+        # x^3-x-1 has no factor of degree <= 2: its roots come from the kernel
+        out, err = run_cli("scan", "--poly", "x^3-x-1", "--to", "600000", expect=3)
         assert out == ""
         errs.append(err)
         with pytest.raises(ChildProcessError):
@@ -380,7 +392,7 @@ def test_a_lost_scan_worker_exits_4(monkeypatch, death, errors):
     monkeypatch.setattr(scanner_mod, "count_roots_block", patched)
     for w, expected in errors.items():
         monkeypatch.setenv("INTERSECTIVE_THREADS", w)
-        out, err = run_cli("scan", "--poly", "x^2+1", "--to", "600000", expect=4)
+        out, err = run_cli("scan", "--poly", "x^3-x-1", "--to", "600000", expect=4)
         assert out == ""
         assert err.startswith(expected) and err.count("\n") == 1
         assert "Traceback" not in err

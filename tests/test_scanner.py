@@ -99,12 +99,12 @@ def test_invariant_violation_raised_on_bogus_census(monkeypatch):
 
 
 def test_bogus_census_breaking_stickelberger(monkeypatch):
-    # type (1, 1) passes the sum and sign checks,
-    # but disc(x^2 - 2) = 8 is a nonresidue mod 3, so x^2 - 2 is irreducible
+    # type (1, 1, 1) passes the sum and sign checks, but
+    # disc(x^3 - 2) = -108 is a nonresidue mod 5, so x^3 - 2 does not split there
     monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
-        [2, 0], (primes.size, 1)))
-    with pytest.raises(InvariantViolation, match=r"\(1, 1\) .* at p=3 .*Stickelberger"):
-        scan(IntPoly((-2, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
+        [3, 0, 0], (primes.size, 1)))
+    with pytest.raises(InvariantViolation, match=r"\(1, 1, 1\) .* at p=5 .*Stickelberger"):
+        scan(IntPoly((-2, 0, 0, 1)), PrimeRange(2, 100), with_cycle_types=True)
 
 
 def test_scan_of_a_25_digit_coefficient_matches_oracles():
@@ -121,9 +121,10 @@ def test_scan_of_a_25_digit_coefficient_matches_oracles():
 
 def test_reports_identical_across_worker_counts():
     rng = PrimeRange(2, 600_000)  # spans several blocks
-    # (x^2+1)(x^2+2)(x^2-2)(x^2+3)(x^2-5) has degree 10: the primes of a
-    # block pass through more than one lane chunk
-    tenth = IntPoly((60, 0, 68, 0, -11, 0, -21, 0, -1, 0, 1))
+    # x^10 - x - 1 is irreducible (Selmer), so its roots come from the
+    # kernel, and at degree 10 the primes of a block pass through more
+    # than one lane chunk; x^2 + 1 takes Euler's criterion
+    tenth = IntPoly((-1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1))
     block = sum(1 for _ in primes_in(2, scanner_mod.BLOCK_SPAN))
     assert block > modular_mod._CHUNK_ENTRIES // tenth.degree
     for f in (IntPoly((1, 0, 1)), tenth):
@@ -137,6 +138,9 @@ def test_reports_identical_across_worker_counts():
 
 
 SEVERAL_BLOCKS = PrimeRange(2, 600_000)  # blocks [2, B - 1], [B, 2B - 1], [2B, 600000]
+# x^3 - x - 1 has no factor of degree <= 2, so its roots come from
+# count_roots_block, where the failure tests below inject their faults
+IRREDUCIBLE_CUBIC = IntPoly((-1, -1, 0, 1))
 
 
 def count_forks(monkeypatch):
@@ -217,7 +221,7 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     forks = count_forks(monkeypatch)
     for workers in (1, 2, 8):
         with pytest.raises(InvariantViolation, match="^no roots counted from p=262147$"):
-            scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=workers)
+            scan(IRREDUCIBLE_CUBIC, SEVERAL_BLOCKS, workers=workers)
     assert len(forks) == 2 + 3
     assert_no_child_left()
 
@@ -235,7 +239,7 @@ def test_a_worker_that_dies_is_named_with_its_blocks(monkeypatch, death, how):
 
     fail_in_middle_block(monkeypatch, die)
     with pytest.raises(RuntimeError) as info:
-        scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
+        scan(IRREDUCIBLE_CUBIC, SEVERAL_BLOCKS, workers=2)
     assert str(info.value) == (
         "scan worker 1 of 2 (blocks [262144, 524287]) exited without a result: " + how)
     assert_no_child_left()
@@ -362,3 +366,4 @@ def test_compare_densities_triple():
         assert row.empirical == Fraction(
             report.histogram.get(row.root_count, 0), report.good_prime_count
         )
+

@@ -1,6 +1,6 @@
 """numpy loads only where a prime-array kernel runs, sturm only where real
-roots are counted, and dataclasses, inspect and pathlib never on the CLI's
-own paths.
+roots are counted, the factor finder only where a scan runs, and
+dataclasses, inspect and pathlib never on the CLI's own paths.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded already.
@@ -130,6 +130,20 @@ def test_only_real_root_counts_load_sturm():
         ["intersective.sturm"],
     )
     assert seen == [[]] * 6 + [["intersective.sturm"]]
+
+
+def test_only_scans_load_the_factor_finder():
+    # neither the CLI's import nor a numpy-free subcommand loads it
+    seen = modules_after(
+        [
+            ["realroots", "--poly", "x^2-2"],
+            ["cover", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2"],
+            ["density", "--form", "1,0,1", "--form", "1,0,2"],
+            ["scan", "--poly", "x^2+1", "--to", "100"],
+        ],
+        ["intersective.factor"],
+    )
+    assert seen == [[]] * 4 + [["intersective.factor"]]
 
 
 def test_prime_array_subcommands_load_numpy():
