@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = subs.add_parser("scan", help="histogram root counts over a prime range")
     p_scan.add_argument("--poly", required=True)
     _add_range_args(p_scan)
-    p_scan.add_argument("--cycle-types", action="store_true")
     _add_format_arg(p_scan)
 
     p_cover = subs.add_parser("cover", help="decide covering for quadratic forms")
@@ -94,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--poly", required=True)
     _add_range_args(p_census)
     _add_format_arg(p_census)
-    p_census.set_defaults(cycle_types=True)
 
     p_check = subs.add_parser(
         "check", help="minimum root count mod p against the real-root count"
@@ -160,7 +158,7 @@ def _cmd_scan(args: argparse.Namespace) -> None:
 
     f = _nonconstant_poly(args.poly)
     rng = _make_range(args)
-    report = scan(f, rng, with_cycle_types=args.cycle_types)
+    report = scan(f, rng, with_cycle_types=args.command == "census")
     _emit(
         args,
         reports.scan_report_json(report),

@@ -1,17 +1,19 @@
 """Polynomial arithmetic mod p over blocks of primes: root counts and
 cycle types.
 
-The root count of f mod p is deg gcd(x^p - x, f) over F_p, so only
-distinct roots are seen.  Over a block of primes it comes from one
-lockstep gcd-degree kernel run on x^p - x mod f in every lane.
-
-The cycle type of a squarefree polynomial at a good prime is the multiset
-of irreducible factor degrees.  Over a block of primes it comes from the
+Both come from one distinct-degree kernel, _distinct_degrees.  Over a
+chunk of primes it powers H_1 = x^p mod f, takes H_k = x^(p^k) mod f
+for k = 2..K from the Berlekamp matrix of Frobenius, and runs one
+lockstep gcd-degree call on all the H_k - x side by side, giving the
 distinct-degree counts D_k = deg gcd(f, x^(p^k) - x) = sum of m * c_m
-over m dividing k, each from the same gcd kernel, for k <= deg f / 2.
-Moebius inversion gives the counts c_m of factors of degree m <= deg f / 2,
-and the degree left over is one factor.  census_block gives cycle types
-from one powering of x^p mod f; their 1-parts, D_1, are the root counts.
+over m dividing k, c_m the number of factors of degree m.
+
+The root count of f mod p is D_1 = deg gcd(x^p - x, f) over F_p, so only
+distinct roots are seen: count_roots_block runs the kernel with K = 1.
+The cycle type of a squarefree polynomial at a good prime is the
+multiset of irreducible factor degrees: census_block runs the kernel
+with K = deg f / 2, a divisor sieve gives c_m for m <= deg f / 2, and
+the degree left over is one factor.  Its 1-parts are the root counts.
 
 Every gcd degree goes through one kernel, _gcd_degrees: the polynomial
 divsteps of Bernstein and Yang ("Fast constant-time gcd computation and
@@ -27,7 +29,7 @@ kernels are checked against live with the tests, in tests/oracles.py.
 Memory is bounded by the chunk, not by the block.  count_roots_block and
 census_block check the whole block once, then take its primes one lane
 chunk at a time through every stage (coefficient reduction, monic g,
-powering, gcd, and for a census the distinct-degree counts) and write
+powering, for a census the Berlekamp matrix, and the gcd) and write
 each chunk's counts and types straight into the block's output.  So no
 array of deg f times the block's primes exists, and a scan worker's
 working set is a small multiple of _CHUNK_ENTRIES entries whatever the
@@ -133,10 +135,11 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
 
     Every prime must leave the degree intact (p does not divide lc(f));
     a ValueError names the first that does not.  The count is
-    deg gcd(g, x^p - x) over F_p, g the monic reduction of f
-    (_frobenius), so it is exact for any g, squarefree or not.  The
-    gcd degrees come from the lockstep divsteps kernel (_gcd_degrees).
-    The primes pass through in chunks of _CHUNK_ENTRIES // d lanes.
+    D_1 = deg gcd(g, x^p - x) over F_p, g the monic reduction of f
+    (_frobenius), so it is exact for any g, squarefree or not: the
+    distinct-degree kernel (_distinct_degrees) with K = 1, which builds
+    no Berlekamp matrix.  The primes pass through in chunks of
+    _CHUNK_ENTRIES // d lanes.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     if f.is_zero:
@@ -149,7 +152,8 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     counts = np.empty(n, dtype=np.int64)
     lanes = max(1, _CHUNK_ENTRIES // d)
     for lo in range(0, n, lanes):
-        counts[lo : lo + lanes] = _root_counts(f, p[lo : lo + lanes])
+        q = p[lo : lo + lanes]
+        counts[lo : lo + lanes] = _distinct_degrees(q, *_frobenius(f, q, 1))[0]
     return counts
 
 
@@ -160,11 +164,12 @@ def census_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     Entry [i, m - 1] is the number of irreducible factors of degree m
     of f mod primes[i], so column 0 holds the root counts.  All come
     from one powering of x^p mod g: the distinct-degree counts
-    D_k = deg gcd(g, x^(p^k) - x) for k <= d/2 come from the gcd kernel
-    (_gcd_degrees), and Moebius inversion over divisors yields the
-    counts (see _cycle_types).  The primes pass through in
-    chunks of _CHUNK_ENTRIES // d**2 lanes, the size of a Berlekamp
-    matrix, or of _CHUNK_ENTRIES // d for d <= 3, which needs none.
+    D_1..D_(d/2) come from one gcd call per chunk (_distinct_degrees,
+    the kernel of count_roots_block with K = d // 2), and a divisor
+    sieve yields the counts (see _cycle_types).  The primes pass
+    through in chunks of _CHUNK_ENTRIES // d**2 lanes, the size of a
+    Berlekamp matrix, or of _CHUNK_ENTRIES // d for d <= 3, which needs
+    none.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     if f.is_zero:
@@ -178,7 +183,8 @@ def census_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     lanes = max(1, _CHUNK_ENTRIES // (d * d if d > 3 else d))
     for lo in range(0, n, lanes):
         q = p[lo : lo + lanes]
-        types[lo : lo + lanes] = _cycle_types(q, *_frobenius(f, q))
+        types[lo : lo + lanes] = _cycle_types(
+            q, _distinct_degrees(q, *_frobenius(f, q, d // 2)), d)
     return types
 
 
@@ -213,17 +219,19 @@ def _checked_primes(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     return p
 
 
-def _frobenius(f: IntPoly, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monic reductions g and H = x^p mod g at every prime, batched.
+def _frobenius(f: IntPoly, p: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monic reductions g and a stack whose slab 0 holds H_1 = x^p mod g,
+    at every prime, batched.
 
     g is F(y) = c^(d-1) f(y/c) mod p, c = lc(f), monic with coefficients
     a_j c^(d-1-j): no modular inverse is needed.  At p not dividing c its
     roots are c times those of f mod p, so it has the same root count,
-    distinct-degree counts and cycle type.  Returns (G, H)
-    coefficient-major: g = x^d + sum G[j] x^j and H[j] is the coefficient
-    of x^j, each row holding one value per prime.  Needs d >= 2 and
-    primes that passed _checked_primes; it holds O(d) rows of lanes, so
-    the callers pass one chunk at a time.
+    distinct-degree counts and cycle type.  Returns (G, stack)
+    coefficient-major: g = x^d + sum G[j] x^j, and stack has shape
+    (d, K, lanes), stack[j, 0] the coefficient of x^j in H_1, one value
+    per prime; slabs 1..K-1 are left for _distinct_degrees.  Needs
+    d >= 2 and primes that passed _checked_primes; it holds O(d) rows of
+    lanes beside the stack, so the callers pass one chunk at a time.
     """
     d = f.degree
     lead = _residues(f.lc, p)
@@ -238,12 +246,14 @@ def _frobenius(f: IntPoly, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row %= p
         power *= lead
         power %= p
-    return G, _power_x(p, G)
+    stack = np.empty((d, K, p.size), dtype=np.int64)
+    _power_x(p, G, stack[:, 0])
+    return G, stack
 
 
-def _power_x(p: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """x^p mod g per lane, coefficient-major, by one product and one
-    reduction per exponent bit.
+def _power_x(p: np.ndarray, G: np.ndarray, acc: np.ndarray) -> None:
+    """x^p mod g per lane into acc, coefficient-major, by one product and
+    one reduction per exponent bit.
 
     The powering starts from the monomial x^(p >> k0), k0 the least shift
     with p >> k0 < d in every lane, which needs no reduction.  Each lower
@@ -254,7 +264,7 @@ def _power_x(p: np.ndarray, G: np.ndarray) -> np.ndarray:
     pmax, k0 = int(p.max()), 0
     while pmax >> k0 >= d:
         k0 += 1
-    acc = np.zeros((d, n), dtype=np.int64)
+    acc[:] = 0
     acc[p >> k0, np.arange(n)] = 1
     t = np.empty((2 * d - 1, n), dtype=np.int64)
     w = np.empty((d - 1, n), dtype=np.int64)
@@ -268,7 +278,6 @@ def _power_x(p: np.ndarray, G: np.ndarray) -> np.ndarray:
             t[2 * i + 1 : i + d] += w[i:]
         x_lanes = -((p >> k) & 1)
         _reduce_mod_g(t, G, p, acc, x_lanes if x_lanes.any() else None)
-    return acc
 
 
 def _mod(a: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -330,14 +339,6 @@ def _reduce_mod_g(
         t[0] &= ~x_lanes
         t[:d] -= w
     return _mod(t[:d], p, out=out)
-
-
-def _root_counts(f: IntPoly, p: np.ndarray) -> np.ndarray:
-    """deg gcd(g, x^p - x) per lane, for one chunk of primes; its arrays
-    are freed before the next chunk is powered."""
-    G, h = _frobenius(f, p)
-    h[1] -= 1  # entries in (-p, p)
-    return _gcd_degrees(p, G, h)
 
 
 def _gcd_degrees(p: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -407,29 +408,22 @@ def _divsteps(p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return delta >> 1
 
 
-def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Counts per factor degree, one row per lane, from the distinct-degree
-    counts D_k.
+def _distinct_degrees(p: np.ndarray, G: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Distinct-degree counts D_k = deg gcd(g, x^(p^k) - x), k = 1..K, one
+    row per k, from a (d, K, lanes) stack whose slab 0 holds H_1 = x^p
+    mod g (_frobenius); the stack is consumed.
 
-    D_k = deg gcd(g, x^(p^k) - x) = sum of m * c_m over m dividing k, each
-    from _gcd_degrees.  D_1 is the root count.  For k = 2..d/2,
-    H_k = x^(p^k) mod g is Q H_(k-1) with Q the Berlekamp matrix (columns
-    x^(jp) mod g), and the H_k - x stand side by side, one lane per pair
-    (k, prime), for a single gcd call.  The Berlekamp matrix holds d**2
-    entries per lane and the stack about d**2 / 2, so census_block passes
-    chunks of _CHUNK_ENTRIES // d**2 lanes.  Moebius inversion gives
-    m * c_m for m <= d/2; the degree left over is either 0 or one factor
-    of degree above d/2.  Raises InvariantViolation, naming the prime,
-    when some m * c_m is negative or not a multiple of m, or the
-    leftover degree is negative or at most d/2.
+    For K > 1, H_k = x^(p^k) mod g is Q H_(k-1) with Q the Berlekamp
+    matrix (columns x^(jp) mod g), written into slab k - 1.  Then x is
+    subtracted from every slab, and the H_k - x stand side by side, lane
+    j for D_(j // lanes + 1), in a single _gcd_degrees call.  The
+    Berlekamp matrix holds d**2 entries per lane and the stack about
+    d**2 / 2, so census_block passes chunks of _CHUNK_ENTRIES // d**2
+    lanes; K = 1, the root count, builds no matrix.
     """
-    d, n = H.shape
-    half = d // 2
-    D = np.empty((half, n), dtype=np.int64)
-    h = H.copy()
-    h[1] -= 1
-    D[0] = _gcd_degrees(p, G, h)
-    if half > 1:  # d <= 3 needs D_1 alone
+    d, K, n = stack.shape
+    if K > 1:
+        H = stack[:, 0]
         Q = np.zeros((d, d, n), dtype=np.int64)
         Q[0, 0] = 1
         col = H
@@ -437,19 +431,29 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
             Q[:, j] = col
             if j + 1 < d:
                 col = _mulmod(col, H, G, p)
-        # stack[:, k - 2] holds H_k - x for k = 2..d/2
-        stack = np.empty((d, half - 1, n), dtype=np.int64)
-        Hk = H
-        for k in range(half - 1):
+        for k in range(1, K):
             # each sum holds d products below p**2
-            Hk = np.einsum("ijl,jl->il", Q, Hk, out=stack[:, k])
+            Hk = np.einsum("ijl,jl->il", Q, stack[:, k - 1], out=stack[:, k])
             Hk %= p
         del Q  # freed before the gcd, so the two peaks do not add up
-        stack[1] -= 1
-        D[1:] = _gcd_degrees(p, G, stack.reshape(d, -1)).reshape(half - 1, n)
-    mc = np.empty_like(D)  # mc[m - 1] = m * c_m
-    for m in range(1, half + 1):
-        mc[m - 1] = sum(_moebius(m // e) * D[e - 1] for e in range(1, m + 1) if m % e == 0)
+    stack[1] -= 1  # entries in (-p, p)
+    return _gcd_degrees(p, G, stack.reshape(d, K * n)).reshape(K, n)
+
+
+def _cycle_types(p: np.ndarray, D: np.ndarray, d: int) -> np.ndarray:
+    """Counts per factor degree, one row per lane, from the distinct-degree
+    counts D_k = sum of m * c_m over m dividing k, k <= d/2 (D[k - 1]).
+
+    A divisor sieve gives m * c_m = D_m - sum of e * c_e over the proper
+    divisors e of m, m ascending; the degree left over is either 0 or one
+    factor of degree above d/2.  Raises InvariantViolation, naming the
+    prime, when some m * c_m is negative or not a multiple of m, or the
+    leftover degree is negative or at most d/2.
+    """
+    half, n = D.shape
+    mc = D.copy()  # mc[m - 1] = m * c_m once the divisors of m are sieved
+    for m in range(1, half // 2 + 1):
+        mc[2 * m - 1 :: m] -= mc[m - 1]
     m_col = np.arange(1, half + 1)[:, None]
     left = d - mc.sum(axis=0)
     wrong = (mc < 0).any(axis=0) | (mc % m_col != 0).any(axis=0)
@@ -465,15 +469,3 @@ def _cycle_types(p: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     big = np.flatnonzero(left)
     types[big, left[big] - 1] = 1
     return types
-
-
-def _moebius(n: int) -> int:
-    result, q = 1, 2
-    while q * q <= n:
-        if n % q == 0:
-            n //= q
-            if n % q == 0:
-                return 0
-            result = -result
-        q += 1
-    return -result if n > 1 else result

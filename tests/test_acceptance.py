@@ -178,7 +178,8 @@ def test_criterion_6_oracle_equivalence():
 
 def test_criterion_7_cycle_types_refine_root_counts():
     with _Gate("criterion 7: cycle-type parts sum to the degree and degree-1 "
-               "parts equal the root count at every good prime") as gate:
+               "parts equal the root count at every good prime, and the "
+               "oracle's below 10^3") as gate:
         rng = random.Random(70070)
         polys = []
         while len(polys) < 50:
@@ -198,6 +199,12 @@ def test_criterion_7_cycle_types_refine_root_counts():
             total = types @ np.arange(1, fstar.degree + 1)
             roots = count_roots_block(fstar, good)
             violations += int(((total != fstar.degree) | (types[:, 0] != roots)).sum())
+            # both kernels read the same D_1 in other chunks, so the 1-parts
+            # also meet the scalar oracle at the good primes below 10^3
+            violations += sum(
+                int(count) != count_roots_mod_p(fstar, int(p))
+                for p, count in zip(good[good < 10**3], types[:, 0])
+            )
         assert violations == 0
         gate.ok = True
 

@@ -402,9 +402,10 @@ def test_a_lost_scan_worker_exits_4(monkeypatch, death, errors):
 
 def test_census_with_a_negative_factor_count_exits_3(monkeypatch):
     # D_1 = 6 and D_2 = D_3 = 0 for x^6 - x - 1: the kernel's sign test
-    # names the prime, so no negative count reaches the histogram
-    monkeypatch.setattr(modular_mod, "_gcd_degrees", lambda p, G, h: np.full(
-        h.shape[1], 6 if h.shape[1] == p.size else 0, dtype=np.int64))
+    # names the prime, so no negative count reaches the histogram; lane j
+    # of the one stacked gcd call gives D_(j // n + 1)
+    monkeypatch.setattr(modular_mod, "_gcd_degrees", lambda p, G, h: np.where(
+        np.arange(h.shape[1]) < p.size, 6, 0))
     _, err = run_cli("census", "--poly", "x^6-x-1", "--from", "101", "--to", "101",
                      expect=3)
     assert err.startswith("internal check failed:")

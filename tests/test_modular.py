@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from functools import lru_cache
 from math import gcd, isqrt
@@ -13,6 +14,7 @@ import intersective.modular as modular_mod
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
     _batch_powmod,
+    _cycle_types,
     _frobenius,
     _gcd_degrees,
     _mod,
@@ -254,8 +256,10 @@ def assert_powering_matches_oracle(f, primes, lanes=None):
     lanes = lanes or len(primes)
     for lo in range(0, len(primes), lanes):
         chunk = primes[lo : lo + lanes]
-        G, H = _frobenius(f, np.array(chunk, dtype=np.int64))
-        assert H.dtype == np.int64 and H.shape == (d, len(chunk))
+        # slab 0 of a two-slab stack: rows strided as in a census
+        G, stack = _frobenius(f, np.array(chunk, dtype=np.int64), 2)
+        assert stack.dtype == np.int64 and stack.shape == (d, 2, len(chunk))
+        H = stack[:, 0]
         for i, q in enumerate(chunk):
             g = [a * pow(f.lc, d - 1 - j, q) % q for j, a in enumerate(f.coeffs[:-1])]
             assert G[:, i].tolist() == g, (f, q)
@@ -511,13 +515,10 @@ def test_census_refuses_distinct_degree_counts_that_fit_no_type(monkeypatch):
                         lambda p, G, h: np.full(h.shape[1], 3, dtype=np.int64))
     with pytest.raises(InvariantViolation, match=r"\[3, 3\] at p=3 "):
         census_block(quartic, parr)
-    # D_1 = 0 and D_2 = 1: 2 * c_2 = 1 is odd
-    calls = []
-
-    def odd_d2(p, G, h):
-        calls.append(None)
-        return np.full(h.shape[1], len(calls) > 1, dtype=np.int64)
-    monkeypatch.setattr(modular_mod, "_gcd_degrees", odd_d2)
+    # D_1 = 0 and D_2 = 1: 2 * c_2 = 1 is odd; lane j of the one stacked
+    # gcd call gives D_(j // n + 1)
+    monkeypatch.setattr(modular_mod, "_gcd_degrees",
+                        lambda p, G, h: np.arange(h.shape[1]) // p.size)
     with pytest.raises(InvariantViolation, match=r"\[0, 1\] at p=3 "):
         census_block(quartic, parr)
 
@@ -528,10 +529,76 @@ def test_census_refuses_a_negative_factor_count(monkeypatch):
     # and the leftover degree 12 passes for one large factor, so only the
     # sign test names p = 101 (without it the types index past the degree)
     sextic = IntPoly([-1, -1, 0, 0, 0, 0, 1])
-    monkeypatch.setattr(modular_mod, "_gcd_degrees", lambda p, G, h: np.full(
-        h.shape[1], 6 if h.shape[1] == p.size else 0, dtype=np.int64))
+    # lane j of the one stacked gcd call gives D_(j // n + 1)
+    monkeypatch.setattr(modular_mod, "_gcd_degrees", lambda p, G, h: np.where(
+        np.arange(h.shape[1]) < p.size, 6, 0))
     with pytest.raises(InvariantViolation, match=r"\[6, 0, 0\] at p=101 "):
         census_block(sextic, np.array([101], dtype=np.int64))
+
+
+def partitions(d, largest=None):
+    """Every cycle type of degree d, as parts in descending order."""
+    if d == 0:
+        yield []
+        return
+    for m in range(min(d, largest or d), 0, -1):
+        for rest in partitions(d - m, m):
+            yield [m] + rest
+
+
+def distinct_degree_counts(parts, d):
+    """D_k = sum of m * c_m over the part degrees m dividing k, k <= d/2."""
+    return [sum(m for m in parts if k % m == 0) for k in range(1, d // 2 + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(2, 12), lanes=st.integers(1, 4))
+def test_cycle_types_invert_distinct_degree_counts(data, d, lanes):
+    types = [data.draw(st.sampled_from(list(partitions(d)))) for _ in range(lanes)]
+    D = np.array([distinct_degree_counts(t, d) for t in types]).T
+    p = np.arange(lanes) + 3  # only named in a refusal
+    assert _cycle_types(p, D, d).tolist() == [type_counts(t, d) for t in types]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(2, 12))
+def test_cycle_types_refuse_exactly_the_counts_that_fit_no_type(data, d):
+    # a valid D vector, often shifted: it fits a type iff the inversion
+    # answers, and then it fits the type the inversion gives
+    fits = {tuple(distinct_degree_counts(t, d)): t for t in partitions(d)}
+    base = distinct_degree_counts(data.draw(st.sampled_from(list(partitions(d)))), d)
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=d // 2, max_size=d // 2))
+    D = [b + s for b, s in zip(base, shift)]
+    parr = np.array([101], dtype=np.int64)
+    if tuple(D) in fits:
+        types = _cycle_types(parr, np.array(D).reshape(-1, 1), d)
+        assert types.tolist() == [type_counts(fits[tuple(D)], d)]
+    else:
+        with pytest.raises(InvariantViolation, match=re.escape(f"{D} at p=101 ")):
+            _cycle_types(parr, np.array(D).reshape(-1, 1), d)
+
+
+@pytest.mark.parametrize("kernel, f, K", [
+    (census_block, IntPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1]), 4),  # x^8 - x - 1
+    (count_roots_block, IntPoly([-1, -1, 0, 1]), 1),  # x^3 - x - 1
+])
+def test_one_gcd_call_per_chunk(monkeypatch, kernel, f, K):
+    # chunks of 7 lanes: each makes one _gcd_degrees call on K * 7 lanes,
+    # the last, partial chunk on K times its lanes
+    parr = np.array(good_primes(f, list(primes_in(3, 500))), dtype=np.int64)
+    whole = kernel(f, parr)
+    d = f.degree
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES",
+                        7 * (d * d if kernel is census_block else d))
+    gcd_degrees, stacked = modular_mod._gcd_degrees, []
+
+    def counted(p, G, h):
+        stacked.append((p.size, h.shape[1]))
+        return gcd_degrees(p, G, h)
+    monkeypatch.setattr(modular_mod, "_gcd_degrees", counted)
+    assert kernel(f, parr).tolist() == whole.tolist()
+    sizes = [min(7, parr.size - lo) for lo in range(0, parr.size, 7)]
+    assert parr.size % 7 and stacked == [(n, K * n) for n in sizes]
 
 def fp_mul(a, b, p):
     """a * b over F_p, coefficient lists ascending."""
