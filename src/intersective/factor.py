@@ -151,11 +151,7 @@ def _best_prime(f: IntPoly, bad: int) -> tuple[int, list[int]]:
     if not p.size:
         return 0, []
     n, width, coeffs = p.size, int(p[-1]), f.coeffs
-    res = np.array([c if abs(c) < 1 << 62 else 0 for c in coeffs], dtype=np.int64)
-    res = res[:, None] % p
-    for j, c in enumerate(coeffs):
-        if abs(c) >= 1 << 62:
-            res[j] = _residues(c, p)
+    res = np.array([_residues(c, p) for c in coeffs])
     j = np.arange(len(coeffs))[:, None]
     row = np.where(j > 0, (j - 1) % (p - 1) + 1, 0)
     rows = int(row.max()) + 1

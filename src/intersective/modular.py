@@ -23,14 +23,15 @@ monic without a modular inverse: F(y) = c^(d-1) f(y/c), c = lc(f), has the
 same root count and factor degrees at every p not dividing c.  The
 powering is exact int64 while deg f * p**2 < 2**63; a block with a larger
 prime is refused with a ValueError naming the degree and the prime
-(_checked_primes), never answered another way.  The scalar routines the
+(_chunks), never answered another way.  The scalar routines the
 kernels are checked against live with the tests, in tests/oracles.py.
 
 Memory is bounded by the chunk, not by the block.  count_roots_block and
-census_block check the whole block once, then take its primes one lane
-chunk at a time through every stage (coefficient reduction, monic g,
-powering, for a census the Berlekamp matrix, and the gcd) and write
-each chunk's counts and types straight into the block's output.  So no
+census_block share one chunk loop, _chunks: it checks the whole block
+once, then takes its primes one lane chunk at a time through every
+stage (coefficient reduction, monic g, powering, for a census the
+Berlekamp matrix, and the gcd), and the callers write each chunk's
+counts and types straight into the block's output.  So no
 array of deg f times the block's primes exists, and a scan worker's
 working set is a small multiple of _CHUNK_ENTRIES entries whatever the
 block size.
@@ -50,6 +51,8 @@ search that a fails-to-cover verdict runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .intpoly import IntPoly
@@ -57,7 +60,7 @@ from .parse import InvariantViolation
 from .primes import iter_prime_arrays
 
 # The powering keeps every int64 entry within deg * p**2 in absolute value
-# (see _checked_primes), and the gcd kernel within 2 * p**2, so batched
+# (see _check_int64_bound), and the gcd kernel within 2 * p**2, so batched
 # arithmetic stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
@@ -142,18 +145,10 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     _CHUNK_ENTRIES // d lanes.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
-    if f.is_zero:
-        raise ValueError("polynomial is identically zero")
-    d = f.degree
-    n = int(primes.size)
-    if n == 0 or d < 2:
-        return np.full(n, d, dtype=np.int64)
-    p = _checked_primes(f, primes)
-    counts = np.empty(n, dtype=np.int64)
-    lanes = max(1, _CHUNK_ENTRIES // d)
-    for lo in range(0, n, lanes):
-        q = p[lo : lo + lanes]
-        counts[lo : lo + lanes] = _distinct_degrees(q, *_frobenius(f, q, 1))[0]
+    chunks = _chunks(f, primes, 1)
+    counts = np.full(primes.size, f.degree, dtype=np.int64)
+    for lanes, D in chunks:
+        counts[lanes] = D[0]
     return counts
 
 
@@ -172,20 +167,39 @@ def census_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     none.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
+    d = f.degree
+    chunks = _chunks(f, primes, d // 2)
+    types = np.ones((primes.size, d), dtype=np.int64)
+    for lanes, D in chunks:
+        types[lanes] = _cycle_types(primes[lanes], D, d)
+    return types
+
+
+def _chunks(
+    f: IntPoly, primes: np.ndarray, K: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(lane slice, D_1..D_K) per lane chunk of primes (_distinct_degrees),
+    once the whole block is checked; nothing when deg f < 2 or no primes.
+
+    Raises ValueError for the zero polynomial, then, before any chunk is
+    powered, naming the largest prime when d * pmax**2 >= 2**63, and else
+    naming the first prime that divides lc(f).  A chunk holds
+    _CHUNK_ENTRIES // d**2 lanes, the size of a Berlekamp matrix, when
+    K > 1, and _CHUNK_ENTRIES // d lanes when K = 1.
+    """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
     d = f.degree
-    n = int(primes.size)
-    if n == 0 or d < 2:
-        return np.ones((n, d), dtype=np.int64)
-    p = _checked_primes(f, primes)
-    types = np.empty((n, d), dtype=np.int64)
-    lanes = max(1, _CHUNK_ENTRIES // (d * d if d > 3 else d))
-    for lo in range(0, n, lanes):
-        q = p[lo : lo + lanes]
-        types[lo : lo + lanes] = _cycle_types(
-            q, _distinct_degrees(q, *_frobenius(f, q, d // 2)), d)
-    return types
+    if d < 2 or not primes.size:
+        return iter(())
+    _check_int64_bound(d, primes)
+    p = np.asarray(primes, dtype=np.int64)
+    bad = np.flatnonzero(_residues(f.lc, p) == 0)
+    if bad.size:
+        raise ValueError(f"p={int(p[bad[0]])} divides the leading coefficient")
+    step = max(1, _CHUNK_ENTRIES // (d * d if K > 1 else d))
+    spans = (slice(lo, lo + step) for lo in range(0, p.size, step))
+    return ((s, _distinct_degrees(p[s], *_frobenius(f, p[s], K))) for s in spans)
 
 
 def _check_int64_bound(d: int, primes: np.ndarray) -> None:
@@ -204,21 +218,6 @@ def _check_int64_bound(d: int, primes: np.ndarray) -> None:
         )
 
 
-def _checked_primes(f: IntPoly, primes: np.ndarray) -> np.ndarray:
-    """The primes as int64, once every one is known to fit the kernels.
-
-    Raises ValueError naming the largest prime when d * pmax**2 >= 2**63,
-    and else naming the first prime that divides lc(f).  Both checks run
-    on the whole block before any chunk is powered.
-    """
-    _check_int64_bound(f.degree, primes)
-    p = np.asarray(primes, dtype=np.int64)
-    bad = np.flatnonzero(_residues(f.lc, p) == 0)
-    if bad.size:
-        raise ValueError(f"p={int(p[bad[0]])} divides the leading coefficient")
-    return p
-
-
 def _frobenius(f: IntPoly, p: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Monic reductions g and a stack whose slab 0 holds H_1 = x^p mod g,
     at every prime, batched.
@@ -230,8 +229,8 @@ def _frobenius(f: IntPoly, p: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarra
     coefficient-major: g = x^d + sum G[j] x^j, and stack has shape
     (d, K, lanes), stack[j, 0] the coefficient of x^j in H_1, one value
     per prime; slabs 1..K-1 are left for _distinct_degrees.  Needs
-    d >= 2 and primes that passed _checked_primes; it holds O(d) rows of
-    lanes beside the stack, so the callers pass one chunk at a time.
+    d >= 2 and primes that passed the checks of _chunks; it holds O(d)
+    rows of lanes beside the stack, so _chunks passes one chunk at a time.
     """
     d = f.degree
     lead = _residues(f.lc, p)

@@ -37,7 +37,9 @@ class FormParseError(ValueError):
 
 
 class InvariantViolation(RuntimeError):
-    """A cycle-type census failed one of its checks at some prime."""
+    """An internal check failed at some prime: a cycle-type census (the
+    scan's or the kernel's, modular._cycle_types), or a root count of
+    `check --form` that no Frobenius class of the forms gives."""
 
 
 class WorkerLost(RuntimeError):

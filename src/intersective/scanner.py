@@ -4,7 +4,10 @@ A scan fixes the squarefree part f* of the input, excludes the finitely
 many primes dividing 2 * lc(f*) * disc(f*), and counts distinct roots of
 f* at every remaining prime in the range.  Work is split into fixed
 absolute blocks merged in block order, so reports are identical for any
-worker count.
+worker count.  Each block also records the least prime at which each of
+its root counts occurs; merged in block order, these name the least
+prime of the range with a given count (ScanReport.least_prime_with)
+without a second pass.
 
 Before the blocks run, factor.small_factors splits off the factors of
 f* of degree <= 2 over Z.  At a good prime a linear factor has one root
@@ -67,6 +70,7 @@ class ScanReport(NamedTuple):
     min_roots_observed: int | None
     cycle_type_histogram: dict[tuple[int, ...], int] | None
     empirical_density_with_root: Fraction | None
+    least_prime_with: dict[int, int]  # root count -> least good prime with it
 
     @property
     def good_prime_count(self) -> int:
@@ -103,9 +107,10 @@ def _scan_block(
     lo: int,
     hi: int,
     with_cycle_types: bool,
-) -> tuple[Counter, Counter | None, list[int]]:
-    """Root-count histogram, cycle types and excluded primes of one block;
-    disc is disc(f*) and split its factors of degree <= 2 (small_factors).
+) -> tuple[Counter, Counter | None, list[int], dict[int, int]]:
+    """Root-count histogram, cycle types, excluded primes and the least
+    prime with each root count, of one block; disc is disc(f*) and split
+    its factors of degree <= 2 (small_factors).
 
     Each census is checked at every prime on f* as a whole, whichever
     path gave its parts: the parts sum to deg f*, no count is negative,
@@ -118,6 +123,7 @@ def _scan_block(
     hist: Counter = Counter()
     cyc: Counter | None = Counter() if with_cycle_types else None
     excluded: list[int] = []
+    least: dict[int, int] = {}
     degree = fstar.degree
     for parr in iter_prime_arrays(lo, hi):
         good_mask = _residues(bad, parr) != 0
@@ -151,7 +157,9 @@ def _scan_block(
         tally = np.bincount(counts, minlength=degree + 1)
         for k in np.flatnonzero(tally).tolist():
             hist[k] += int(tally[k])
-    return hist, cyc, excluded
+            if k not in least:  # the primes ascend: the first is the least
+                least[k] = int(parr[np.argmax(counts == k)])
+    return hist, cyc, excluded, least
 
 
 def _good_prime_counts(
@@ -325,7 +333,7 @@ def scan(
 
     nworkers = min(resolve_workers(workers), len(blocks))
 
-    def run(lo: int, hi: int) -> tuple[Counter, Counter | None, list[int]]:
+    def run(lo: int, hi: int) -> tuple[Counter, Counter | None, list[int], dict]:
         return _scan_block(fstar, disc, split, lo, hi, with_cycle_types)
 
     # a child forked beside other threads can deadlock on a lock one of
@@ -338,11 +346,14 @@ def scan(
     hist: Counter = Counter()
     cyc: Counter | None = Counter() if with_cycle_types else None
     excluded: list[int] = []
-    for bh, bc, bex in partials:  # merge in block order
+    least: dict[int, int] = {}
+    for bh, bc, bex, bleast in partials:  # merge in block order
         hist.update(bh)
         if cyc is not None and bc is not None:
             cyc.update(bc)
         excluded.extend(bex)
+        for k, p in bleast.items():
+            least.setdefault(k, p)  # blocks ascend: the first is the least
     good = sum(hist.values())
     return ScanReport(
         polynomial=f,
@@ -356,6 +367,7 @@ def scan(
         empirical_density_with_root=(
             Fraction(good - hist[0], good) if good else None
         ),
+        least_prime_with=dict(sorted(least.items())),
     )
 
 
@@ -412,7 +424,7 @@ def check_real_roots_forms(
     stray = [k for k in report.histogram if k not in dist.densities]
     if stray:
         raise InvariantViolation(
-            f"{f} has {stray[0]} roots mod p={_least_prime_with(f, rng, stray[0])}, "
+            f"{f} has {stray[0]} roots mod p={report.least_prime_with[stray[0]]}, "
             f"a count no Frobenius class of the forms gives "
             f"(exact counts {sorted(dist.densities)})"
         )
@@ -422,22 +434,6 @@ def check_real_roots_forms(
         report.min_roots_observed, real, dist.min_roots, verdict, "exact"
     )
     return check, report, dist
-
-
-def _least_prime_with(f: IntPoly, rng: PrimeRange, count: int) -> int | None:
-    """The least good prime of rng at which f* has count roots, found by
-    the root counts scan() takes; only a failing check runs it."""
-    fstar = squarefree_part(f)
-    split = small_factors(fstar)
-    bad = 2 * fstar.lc * discriminant(fstar)
-    for parr in iter_prime_arrays(rng.lo, rng.hi):
-        parr = parr[_residues(bad, parr) != 0]
-        if parr.size:
-            counts, _ = _good_prime_counts(split, fstar.degree, parr, False)
-            hit = np.flatnonzero(counts == count)
-            if hit.size:
-                return int(parr[hit[0]])
-    return None
 
 
 class DensityRow(NamedTuple):

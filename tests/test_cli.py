@@ -336,6 +336,24 @@ def test_check_with_a_root_count_of_no_class_exits_3(monkeypatch):
                    "no Frobenius class of the forms gives (exact counts [2, 6])\n")
 
 
+def test_a_stray_count_first_seen_in_a_later_block_names_its_least_prime(monkeypatch):
+    # every quadratic factor reads inert above 267144, inside the second
+    # block: 0 roots there, a count no class gives, first at p = 267167
+    powmod = scanner_mod._batch_powmod
+    monkeypatch.setattr(scanner_mod, "_batch_powmod", lambda b, e, p: np.where(
+        p > 267144, 0, powmod(b, e, p)))
+    for w in ("1", "2", "8"):
+        monkeypatch.setenv("INTERSECTIVE_THREADS", w)
+        out, err = run_cli("check", "--form", "1,0,1", "--form", "1,0,2",
+                           "--form", "1,0,-2", "--to", "600000", expect=3)
+        assert out == ""
+        assert err == ("internal check failed: x^6+x^4-4x^2-4 has 0 roots mod "
+                       "p=267167, a count no Frobenius class of the forms gives "
+                       "(exact counts [2, 6])\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_failing_scan_worker_exits_3_as_on_one_thread(monkeypatch):
     # the middle of three blocks fails: on two workers, in the second child
     count = scanner_mod.count_roots_block

@@ -165,7 +165,7 @@ def test_count_roots_block_huge_coefficients():
     assert batch.tolist() == [count_roots_mod_p(f, int(p)) for p in primes]
 
 
-def test_count_roots_block_int64_overflow_fallback():
+def test_count_roots_block_refuses_int64_overflow():
     p = 4294967311  # first prime beyond 2**32: 7 * p**2 >= 2**63 is refused
     assert is_prime(p)
     f = IntPoly([1, 2, 3, 4, 5, 6, 7, 1])
@@ -429,7 +429,7 @@ def test_cycle_types_block_property(coeffs, lead, primes):
         assert_block_matches_oracle(fstar, good)
 
 
-def test_cycle_types_block_int64_fallback():
+def test_census_block_refuses_int64_overflow():
     # 3 * p^2 >= 2^63 for p above 1.76e9: the block is refused, not answered
     near = [p for p in range(2**31 - 200, 2**31) if is_prime(p)]
     assert near and 3 * min(near) ** 2 >= 1 << 63

@@ -40,9 +40,9 @@ RECORDS = [
     (ScanReport,
      ("polynomial", "range", "excluded_primes", "histogram",
       "min_roots_observed", "cycle_type_histogram",
-      "empirical_density_with_root"),
+      "empirical_density_with_root", "least_prime_with"),
      (IntPoly((1, 0, 1)), PrimeRange(2, 100), (2,), {0: 13, 2: 11}, 0,
-      None, Fraction(11, 24))),
+      None, Fraction(11, 24), {0: 3, 2: 5})),
     (RealRootCheck,
      ("min_roots_observed", "real_root_count", "exact_min_roots", "verdict",
       "mode"),

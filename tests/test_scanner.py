@@ -119,6 +119,26 @@ def test_scan_of_a_25_digit_coefficient_matches_oracles():
     assert report.cycle_type_histogram == dict(sorted(types.items()))
 
 
+@pytest.mark.parametrize("f", [
+    # a linear factor, Euler's criterion for x^2 - 2, the kernel for x^3 - x - 1
+    IntPoly((1, 1)) * IntPoly((-2, 0, 1)) * IntPoly((-1, -1, 0, 1)),
+    IntPoly((-1, -1, 0, 0, 0, 1)),  # x^5 - x - 1, all through the kernel
+])
+def test_least_prime_with_each_count_matches_oracle(monkeypatch, f):
+    # blocks of 512 put [2, 5000] in ten blocks, run on one, two and eight
+    # workers: the least prime of each count may lie in any of them
+    monkeypatch.setattr(scanner_mod, "BLOCK_SPAN", 512)
+    bad = 2 * f.lc * discriminant(f)
+    least = {}
+    for p in primes_in(2, 5000):
+        if bad % p:
+            least.setdefault(count_roots_mod_p(f, p), p)
+    assert len(least) >= 3
+    for workers in (1, 2, 8):
+        report = scan(f, PrimeRange(2, 5000), workers=workers)
+        assert report.least_prime_with == dict(sorted(least.items()))
+
+
 def test_reports_identical_across_worker_counts():
     rng = PrimeRange(2, 600_000)  # spans several blocks
     # x^10 - x - 1 is irreducible (Selmer), so its roots come from the
