@@ -115,6 +115,18 @@ def multiply(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
+def power(f: IntPoly, k: int) -> IntPoly:
+    """f**k for k >= 0 by repeated squaring."""
+    result = ONE
+    while k:
+        if k & 1:
+            result = multiply(result, f)
+        k >>= 1
+        if k:
+            f = multiply(f, f)
+    return result
+
+
 def content(f: IntPoly) -> int:
     """Nonnegative gcd of the coefficients; 0 for the zero polynomial."""
     g = 0
@@ -235,7 +247,8 @@ def subresultant_prs(
         g = B.lc
         if delta > 0:
             h, rem = divmod(g**delta, h ** (delta - 1))
-            assert rem == 0
+            if rem:
+                raise AssertionError("subresultant scalar h is not an integer")
     return tuple(seq), tuple(signs), h
 
 
@@ -258,10 +271,12 @@ def discriminant(f: IntPoly) -> int:
     res = last.lc**e
     if e > 1:
         res, rem = divmod(res, h ** (e - 1))
-        assert rem == 0
+        if rem:
+            raise AssertionError("resultant is not an integer")
     odd = d * (d - 1) // 2 + sum(A.degree * B.degree for A, B in zip(seq, seq[1:]))
     q, rem = divmod(-res if odd % 2 else res, f.lc)
-    assert rem == 0
+    if rem:
+        raise AssertionError("leading coefficient does not divide the resultant")
     return q
 
 
@@ -285,23 +300,23 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     return negate(q) if q.lc < 0 else q
 
 
+def signed_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coefficient, monomial) pairs as in "2x^3-x+1": zero terms are
+    skipped, a unit coefficient is dropped before a monomial, and the
+    monomial "" is the constant term."""
+    out = []
+    for c, mono in terms:
+        if c:
+            mag = "" if abs(c) == 1 and mono else str(abs(c))
+            out.append(("-" if c < 0 else "+" if out else "") + mag + mono)
+    return "".join(out)
+
+
 def to_text(f: IntPoly) -> str:
     """Human-readable rendering, e.g. "x^2+1" or "2x^3-x"."""
     if f.is_zero:
         return "0"
-    parts = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            term = str(mag)
-        else:
-            xs = "x" if i == 1 else f"x^{i}"
-            term = xs if mag == 1 else f"{mag}{xs}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if c > 0 else f"-{term}")
-    return "".join(parts)
+    return signed_terms(
+        (f.coeffs[i], "" if i == 0 else "x" if i == 1 else f"x^{i}")
+        for i in range(f.degree, -1, -1)
+    )

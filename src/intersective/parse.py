@@ -1,9 +1,13 @@
 """Parsers for the polynomial and quadratic-form text formats.
 
 Polynomials come either as ascending coefficient lists like "[1,0,1]" or
-as expressions like "x^2+1" and "(x^2+1)(x^2+2)(x^2-2)".  Rational
-coefficients are accepted and cleared to a primitive integer polynomial.
-Forms are comma triples "a,b,c".
+as expressions like "x^2+1" and "(x^2+1)(x^2+2)(x^2-2)".  An expression
+is built in Z[x] as a numerator over a positive integer denominator,
+powers by repeated squaring, with every exponent and every degree at
+most MAX_POLY_DEGREE, checked before a power or product is built.  The
+result is cleared to an integer polynomial: "1/2 x^2 + 1/2" becomes
+x^2 + 1, while "2x^2+4" keeps its content.  Forms are comma triples
+"a,b,c".
 
 The limits on scanned ranges and the errors raised when an internal
 cross-check fails or a scan worker is lost live here too, with the input
@@ -14,14 +18,15 @@ scanner.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 from os import PathLike
 
-from .intpoly import IntPoly
+from .intpoly import X, IntPoly, content, multiply, power, primitive_part
 from .quadcover import QuadForm
 
 
+# bound on every exponent and degree in an expression, checked before building
+MAX_POLY_DEGREE = 10**6
 DEFAULT_SCAN_CAP = 10**6
 HARD_SCAN_CAP = 10**8
 # density comparisons need a scan reaching at least this far
@@ -48,29 +53,17 @@ class WorkerLost(RuntimeError):
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xX])|(\*\*)|([()+\-*/^]))")
 
-_FracPoly = list[Fraction]
+# An expression is built as (numerator in Z[x], positive denominator).
+_Node = tuple[IntPoly, int]
 
 
-def _fadd(a: _FracPoly, b: _FracPoly) -> _FracPoly:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
+def _scaled(f: IntPoly, k: int) -> IntPoly:
+    return f if k == 1 else multiply(IntPoly((k,)), f)
 
 
-def _fmul(a: _FracPoly, b: _FracPoly) -> _FracPoly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _fneg(a: _FracPoly) -> _FracPoly:
-    return [-c for c in a]
+def _check_degree(degree: int) -> None:
+    if degree > MAX_POLY_DEGREE:
+        raise PolyParseError(f"polynomial degree would exceed {MAX_POLY_DEGREE}")
 
 
 class _ExprParser:
@@ -101,53 +94,63 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def parse(self) -> _FracPoly:
-        poly = self.expr()
+    def parse(self) -> IntPoly:
+        """The expression times the least positive integer that clears
+        its denominators, divided by its content when that integer is
+        not 1."""
+        num, den = self.expr()
         if self.peek() is not None:
             raise PolyParseError(f"trailing input near {self.peek()!r}")
-        return poly
+        g = gcd(den, content(num))
+        f = IntPoly([c // g for c in num.coeffs])
+        return primitive_part(f) if den > g else f
 
-    def expr(self) -> _FracPoly:
-        node = self.term()
+    def expr(self) -> _Node:
+        num, den = self.term()
         while self.peek() in ("+", "-"):
             op = self.next()
-            rhs = self.term()
-            node = _fadd(node, rhs if op == "+" else _fneg(rhs))
-        return node
+            rnum, rden = self.term()
+            lcm = den * rden // gcd(den, rden)
+            num, rnum = _scaled(num, lcm // den), _scaled(rnum, lcm // rden)
+            num, den = (num + rnum if op == "+" else num - rnum), lcm
+        return num, den
 
-    def term(self) -> _FracPoly:
+    def term(self) -> _Node:
         node = self.factor()
         while True:
             tok = self.peek()
             if tok == "*":
                 self.next()
-                node = _fmul(node, self.factor())
-            elif tok is not None and (tok == "(" or tok == "x" or tok.isdigit()):
-                node = _fmul(node, self.factor())  # implicit product
-            else:
+            elif tok is None or not (tok == "(" or tok == "x" or tok.isdigit()):
                 return node
+            # an explicit or implicit product
+            (num, den), (rnum, rden) = node, self.factor()
+            _check_degree(len(num.coeffs) + len(rnum.coeffs) - 2)
+            node = multiply(num, rnum), den * rden
 
-    def factor(self) -> _FracPoly:
+    def factor(self) -> _Node:
         tok = self.peek()
         if tok == "-":
             self.next()
-            return _fneg(self.factor())
+            num, den = self.factor()
+            return -num, den
         if tok == "+":
             self.next()
             return self.factor()
-        base = self.base()
+        num, den = self.base()
         if self.peek() in ("^", "**"):
             self.next()
             exp_tok = self.next()
             if not exp_tok.isdigit():
                 raise PolyParseError("exponent must be a nonnegative integer")
-            result: _FracPoly = [Fraction(1)]
-            for _ in range(int(exp_tok)):
-                result = _fmul(result, base)
-            return result
-        return base
+            k = int(exp_tok)
+            if k > MAX_POLY_DEGREE:
+                raise PolyParseError(f"exponent {k} exceeds {MAX_POLY_DEGREE}")
+            _check_degree(k * (len(num.coeffs) - 1))
+            return power(num, k), den**k
+        return num, den
 
-    def base(self) -> _FracPoly:
+    def base(self) -> _Node:
         tok = self.next()
         if tok == "(":
             inner = self.expr()
@@ -155,7 +158,7 @@ class _ExprParser:
                 raise PolyParseError("unbalanced parentheses")
             return inner
         if tok == "x":
-            return [Fraction(0), Fraction(1)]
+            return X, 1
         if tok.isdigit():
             # integer literal, optionally a rational n/d
             if self.peek() == "/":
@@ -163,26 +166,9 @@ class _ExprParser:
                 den_tok = self.next()
                 if not den_tok.isdigit() or int(den_tok) == 0:
                     raise PolyParseError("rational coefficient needs a nonzero denominator")
-                return [Fraction(int(tok), int(den_tok))]
-            return [Fraction(int(tok))]
+                return IntPoly((int(tok),)), int(den_tok)
+            return IntPoly((int(tok),)), 1
         raise PolyParseError(f"unexpected token {tok!r}")
-
-
-def _clear_denominators(frac: _FracPoly) -> IntPoly:
-    while frac and frac[-1] == 0:
-        frac.pop()
-    if not frac:
-        return IntPoly(())
-    lcm = 1
-    for c in frac:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in frac]
-    if lcm > 1:
-        ct = 0
-        for c in ints:
-            ct = gcd(ct, c)
-        ints = [c // ct for c in ints]
-    return IntPoly(ints)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -203,7 +189,7 @@ def parse_poly(text: str) -> IntPoly:
                 raise PolyParseError(f"bad coefficient {piece!r}")
             coeffs.append(int(piece))
         return IntPoly(coeffs)
-    return _clear_denominators(_ExprParser(t).parse())
+    return _ExprParser(t).parse()
 
 
 def parse_form(text: str) -> QuadForm:

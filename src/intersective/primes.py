@@ -56,9 +56,9 @@ def _odd_base_primes(limit: int) -> np.ndarray:
 def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield the primes in [lo, hi] as ascending int64 arrays, one per slab.
 
-    Slab boundaries are fixed by SEGMENT_ODDS and independent of callers,
-    so concatenating the arrays for adjacent ranges reproduces the primes
-    of the union exactly.
+    Slabs of SEGMENT_ODDS odd numbers start at the first odd number at or
+    above max(lo, 3), so they move with lo; concatenating the arrays for
+    adjacent ranges still reproduces the primes of the union exactly.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"invalid sieve range [{lo}, {hi}]")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import NamedTuple, Union
 
-from .intpoly import IntPoly, multiply
+from .intpoly import IntPoly, multiply, primitive_part, signed_terms
 
 EXAMPLE_PRIME_BOUND = 10**6
 
@@ -51,17 +51,7 @@ class QuadForm(_QuadFormFields):
         return super().__new__(cls, a, b, c)
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, mono in ((self.a, "x^2"), (self.b, "xy"), (self.c, "y^2")):
-            if coeff == 0:
-                continue
-            mag = abs(coeff)
-            term = mono if mag == 1 else f"{mag}{mono}"
-            if not parts:
-                parts.append(term if coeff > 0 else f"-{term}")
-            else:
-                parts.append(f"+{term}" if coeff > 0 else f"-{term}")
-        return "".join(parts)
+        return signed_terms(((self.a, "x^2"), (self.b, "xy"), (self.c, "y^2")))
 
 
 def form_discriminant(q: QuadForm) -> int:
@@ -264,7 +254,8 @@ def decide_cover(
     signs = tuple(-1 if (u >> j) & 1 else 1 for j in range(len(basis)))
     witness_class = FrobeniusClass(basis, signs)
     for cl in classes:
-        assert witness_class.value_on_bits(cl.bits) == -1
+        if witness_class.value_on_bits(cl.bits) != -1:
+            raise AssertionError("witness class makes a discriminant a residue")
     from .modular import _find_uncovered_prime
 
     example = _find_uncovered_prime(discs, example_prime_bound)
@@ -279,14 +270,6 @@ class RootDistribution(NamedTuple):
     rank: int
 
 
-def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients (leading first) divided by their content, leading one positive."""
-    g = gcd(*coeffs)
-    if coeffs[0] < 0:
-        g = -g
-    return tuple(c // g for c in coeffs)
-
-
 def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
     """Distribution of the number of distinct roots of prod_i (a_i t^2 + b_i t + c_i)
     mod p over the Frobenius classes, each class carrying density 2**-rank.
@@ -297,18 +280,23 @@ def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
     0 on the other half.
     """
     classes, _basis = build_square_classes(forms)
-    linear: set[tuple[int, ...]] = set()
-    quadratic: dict[tuple[int, ...], int] = {}
+
+    def key(*coeffs: int) -> IntPoly:  # primitive, leading coefficient > 0
+        f = primitive_part(IntPoly(coeffs))
+        return -f if f.lc < 0 else f
+
+    linear: set[IntPoly] = set()
+    quadratic: dict[IntPoly, int] = {}
     for q, cl in zip(forms, classes):
         if q.a == 0:
             if q.b != 0:  # constants add nothing
-                linear.add(_primitive((q.b, q.c)))
+                linear.add(key(q.c, q.b))
         elif cl.is_trivial:
             s = isqrt(form_discriminant(q))  # roots (-b -+ s) / 2a
-            linear.add(_primitive((2 * q.a, q.b + s)))
-            linear.add(_primitive((2 * q.a, q.b - s)))
+            linear.add(key(q.b + s, 2 * q.a))
+            linear.add(key(q.b - s, 2 * q.a))
         else:
-            quadratic[_primitive((q.a, q.b, q.c))] = cl.bits
+            quadratic[key(q.c, q.b, q.a)] = cl.bits
 
     # Character psi gives the word (<psi, w_i>)_i of the binary code C of
     # length n, one coordinate per distinct quadratic.  C has dimension

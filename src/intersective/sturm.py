@@ -194,9 +194,11 @@ def isolate_real_roots(
         stack.append((lo, iv.lo))
         stack.append((iv.hi, hi))
     found.sort(key=lambda iv: iv.lo)
-    assert len(found) == total
+    if len(found) != total:
+        raise AssertionError(f"isolated {len(found)} roots, the Sturm count is {total}")
     for iv in found:
-        assert sign(iv.lo) * sign(iv.hi) < 0
+        if sign(iv.lo) * sign(iv.hi) >= 0:
+            raise AssertionError("an isolating interval has no sign change")
     return found
 
 
@@ -232,7 +234,8 @@ def _refine(
     if m == 0:
         return Interval(lo, hi)
     den = max(lo.denominator, hi.denominator)
-    assert den & (den - 1) == 0, "isolating intervals have dyadic endpoints"
+    if den & (den - 1):
+        raise AssertionError("isolating intervals have dyadic endpoints")
     e = den.bit_length() - 1
     x0 = lo.numerator * (den // lo.denominator)
     y = hi.numerator * (den // hi.denominator) - x0

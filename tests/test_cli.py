@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,6 +315,42 @@ def test_internal_check_failure_exits_3(monkeypatch):
     _, err = run_cli("census", "--poly", "x^3-2", "--to", "100", expect=3)
     assert err.startswith("internal check failed:")
     assert "p=5 " in err
+
+
+def test_no_check_is_a_bare_assert():
+    # python -O strips assert statements; a check must raise AssertionError itself
+    for path in sorted((SRC / "intersective").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name} lines {asserts}"
+
+
+def test_isolation_checks_run_under_optimization():
+    code = (
+        "from fractions import Fraction\n"
+        "from intersective import sturm\n"
+        "from intersective.intpoly import IntPoly\n"
+        "sturm._refine = lambda *args: sturm.Interval(Fraction(5), Fraction(6))\n"
+        "try:\n"
+        "    sturm.isolate_real_roots(IntPoly((-2, 0, 1)))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get(
+        "PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "an isolating interval has no sign change\n"
+
+
+def test_huge_exponent_exits_2_without_building_the_power():
+    start = time.perf_counter()
+    proc = run_entry("realroots", "--poly", "x^100000000")
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: exponent 100000000 exceeds 1000000\n"
 
 
 def test_census_breaking_stickelberger_exits_3(monkeypatch):

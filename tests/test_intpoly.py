@@ -14,7 +14,9 @@ from intersective.intpoly import (
     evaluate,
     exact_div,
     multiply,
+    power,
     primitive_part,
+    signed_terms,
     squarefree_part,
     to_text,
 )
@@ -189,3 +191,24 @@ def test_text_rendering():
     assert to_text(IntPoly([5])) == "5"
     assert to_text(ZERO) == "0"
     assert to_text(IntPoly([1, 1, 1])) == "x^2+x+1"
+    assert to_text(IntPoly([-1, 0, -1])) == "-x^2-1"
+    assert to_text(IntPoly([1, -1])) == "-x+1"
+
+
+def test_signed_terms():
+    assert signed_terms([(1, "a"), (-1, "b"), (0, "c"), (-1, "")]) == "a-b-1"
+    assert signed_terms([(0, "a"), (-3, "b"), (4, "")]) == "-3b+4"
+    assert signed_terms([(0, "a")]) == ""
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(23)
+    for _ in range(30):
+        f = random_poly(rng, 3, 5)
+        expected = ONE
+        for k in range(9):
+            assert power(f, k) == expected
+            expected = multiply(expected, f)
+    assert power(ZERO, 0) == ONE
+    assert power(ZERO, 3) == ZERO
+    assert power(IntPoly([0, 1]), 10**5) == IntPoly([0] * 10**5 + [1])

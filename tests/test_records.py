@@ -87,3 +87,12 @@ def test_equal_forms_hash_alike():
     assert len(set(forms)) == 2
     assert str(forms[2]) == "x^2+2y^2"
     assert str(QuadForm(0, -1, 5)) == "-xy+5y^2"
+
+
+def test_form_text_signs_and_units():
+    assert str(QuadForm(-1, 0, 1)) == "-x^2+y^2"
+    assert str(QuadForm(-3, 0, -1)) == "-3x^2-y^2"
+    assert str(QuadForm(1, 0, 0)) == "x^2"
+    assert str(QuadForm(2, 1, -1)) == "2x^2+xy-y^2"
+    assert str(QuadForm(0, 0, -7)) == "-7y^2"
+    assert str(QuadForm(-1, -1, -1)) == "-x^2-xy-y^2"
