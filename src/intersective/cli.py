@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: scan, cover, realroots, census, check, density.  Output is
-JSON by default (--format json|tsv|text).  Exit codes: 0 on success
-(a fails-to-cover verdict is a success), 1 if stdout was closed before
-the output was written (as by `| head`), 2 on usage or input errors,
-3 if an internal cross-check fails, 4 if a scan worker exited without
-a result (a signal, an out-of-memory kill).
+JSON by default (--format json|text, and tsv for scan and census).  Exit
+codes: 0 on success (a fails-to-cover verdict is a success), 1 if stdout
+was closed before the output was written (as by `| head`), 2 on usage or
+input errors, 3 if an internal cross-check fails, 4 if a scan worker
+exited without a result (a signal, an out-of-memory kill).
 
 main() is the in-process entry and returns the exit code.  run() is the
 entry of `python -m intersective.cli` and of the `intersective` script:
@@ -24,6 +24,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING, NoReturn
 
 # No kernel does BLAS work (the only matrix products are on int64), yet
@@ -61,8 +62,8 @@ def _add_range_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=DEFAULT_SCAN_CAP)
 
 
-def _add_format_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "tsv", "text"), default="json")
+def _add_format_arg(sub: argparse.ArgumentParser, *extra: str) -> None:
+    sub.add_argument("--format", choices=("json", *extra, "text"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = subs.add_parser("scan", help="histogram root counts over a prime range")
     p_scan.add_argument("--poly", required=True)
     _add_range_args(p_scan)
-    _add_format_arg(p_scan)
+    _add_format_arg(p_scan, "tsv")
 
     p_cover = subs.add_parser("cover", help="decide covering for quadratic forms")
     p_cover.add_argument("--form", action="append", default=[])
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = subs.add_parser("census", help="cycle-type census over a prime range")
     p_census.add_argument("--poly", required=True)
     _add_range_args(p_census)
-    _add_format_arg(p_census)
+    _add_format_arg(p_census, "tsv")
 
     p_check = subs.add_parser(
         "check", help="minimum root count mod p against the real-root count"
@@ -148,7 +149,7 @@ def _emit(args: argparse.Namespace, json_obj, text: str, tsv: str | None = None)
     if args.format == "json":
         print(reports.dumps(json_obj))
     elif args.format == "tsv":
-        print(tsv if tsv is not None else text)
+        print(tsv)
     else:
         print(text)
 
@@ -203,7 +204,13 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if has_poly:
         check = check_real_roots(_nonconstant_poly(args.poly), rng)
     else:
-        check, report, dist = check_real_roots_forms(_collect_forms(args), rng)
+        forms = _collect_forms(args)
+        if not any(q.a or q.b for q in forms):
+            raise UsageError(
+                f"the forms multiply to the constant {prod(q.c for q in forms)}; "
+                "check needs a form with a or b nonzero"
+            )
+        check, report, dist = check_real_roots_forms(forms, rng)
         if rng.hi >= MIN_DENSITY_RANGE_END:
             comparison = density_comparison(dist, report)
     _emit(
@@ -237,6 +244,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The CLI owns its process, so it lifts Python's limit of 4300 digits on
+    # int-string conversion for long coefficients (early 3.10 lacks one).
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -39,13 +39,14 @@ block size.
 The kernels see only what a scan cannot count more cheaply: the scanner
 counts the roots and parts of the factors of degree <= 2 of f* by
 Euler's criterion (scanner._good_prime_counts, factor.small_factors) and
-passes the cofactor of degree >= 3, if any, to count_roots_block or
-census_block.  The int64 bound is checked on deg f* all the same.
+passes the cofactor, of degree >= 3 or 0, to count_roots_block or
+census_block.  So the int64 bound applies to the cofactor alone, the
+only polynomial the kernels power, and a constant one gets no chunk.
 
-Exact residues of big integers mod prime arrays (_residues) and the
-batched Euler criterion (_batch_powmod) serve the reduction of the
-coefficients, the scanner's bad-prime filter, its root counts of
-quadratic factors and its Stickelberger check, and the example-prime
+Exact residues of big integers mod prime arrays (_residues) serve the
+reduction of the coefficients and the scanner's bad-prime filter.  One
+batched Euler criterion, _nonresidue, serves the scanner's root counts
+of quadratic factors, its Stickelberger check, and the example-prime
 search that a fails-to-cover verdict runs.
 """
 
@@ -60,7 +61,7 @@ from .parse import InvariantViolation
 from .primes import iter_prime_arrays
 
 # The powering keeps every int64 entry within deg * p**2 in absolute value
-# (see _check_int64_bound), and the gcd kernel within 2 * p**2, so batched
+# (see _chunks), and the gcd kernel within 2 * p**2, so batched
 # arithmetic stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
@@ -110,6 +111,12 @@ def _residues(d: int, p: np.ndarray) -> np.ndarray:
     return (-r) % p if d < 0 else r
 
 
+def _nonresidue(d: int, primes: np.ndarray) -> np.ndarray:
+    """(d | p) = -1 for each odd prime p < 2**31, by Euler's criterion
+    d^((p-1)/2) = -1 mod p; False where p divides d."""
+    return _batch_powmod(_residues(d, primes), primes >> 1, primes) == primes - 1
+
+
 def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
     """Smallest odd prime up to bound where every discriminant is a
     nonresidue; such a prime divides no a_i and no disc_i.
@@ -126,7 +133,7 @@ def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
             for d in discs:
                 if not p.size:
                     break
-                p = p[_batch_powmod(_residues(d, p), p >> 1, p) == p - 1]
+                p = p[_nonresidue(d, p)]
             if p.size:
                 return int(p[0])
         lo, hi = hi + 1, hi << 4
@@ -192,7 +199,16 @@ def _chunks(
     d = f.degree
     if d < 2 or not primes.size:
         return iter(())
-    _check_int64_bound(d, primes)
+    # Lazy bound: a product entry sums at most d products of residues in
+    # [0, p), so it lies in [0, d * (p - 1)**2], and the reduction of the
+    # square, or of x times the square (_reduce_mod_g), subtracts at most d
+    # more, each in [0, (p - 1)**2].  Entries stay within d * p**2.
+    pmax = int(primes.max())
+    if d * pmax * pmax >= _INT64_LIMIT:
+        raise ValueError(
+            f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
+            "(needs deg * p**2 < 2**63)"
+        )
     p = np.asarray(primes, dtype=np.int64)
     bad = np.flatnonzero(_residues(f.lc, p) == 0)
     if bad.size:
@@ -200,22 +216,6 @@ def _chunks(
     step = max(1, _CHUNK_ENTRIES // (d * d if K > 1 else d))
     spans = (slice(lo, lo + step) for lo in range(0, p.size, step))
     return ((s, _distinct_degrees(p[s], *_frobenius(f, p[s], K))) for s in spans)
-
-
-def _check_int64_bound(d: int, primes: np.ndarray) -> None:
-    """Raises ValueError naming the largest prime when d * pmax**2 >= 2**63.
-
-    Lazy bound: a product entry sums at most d products of residues in
-    [0, p), so it lies in [0, d * (p - 1)**2], and the reduction of the
-    square, or of x times the square (_reduce_mod_g), subtracts at most d
-    more, each in [0, (p - 1)**2].  Entries stay within d * p**2.
-    """
-    pmax = int(primes.max())
-    if d * pmax * pmax >= _INT64_LIMIT:
-        raise ValueError(
-            f"degree {d} at p={pmax} is beyond exact int64 arithmetic "
-            "(needs deg * p**2 < 2**63)"
-        )
 
 
 def _frobenius(f: IntPoly, p: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,28 +37,14 @@ class PrimeRange(_PrimeRangeFields):
         return super().__new__(cls, lo, hi)
 
 
-def _odd_base_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit via a plain odd-only sieve."""
-    if limit < 3:
-        return np.empty(0, dtype=np.int64)
-    half = (limit - 1) // 2
-    mask = np.ones(half + 1, dtype=bool)  # index i <-> 2*i + 1
-    mask[0] = False
-    i = 1
-    while (2 * i + 1) * (2 * i + 1) <= limit:
-        if mask[i]:
-            p = 2 * i + 1
-            mask[(p * p - 1) // 2 :: p] = False
-        i += 1
-    return 2 * np.flatnonzero(mask).astype(np.int64) + 1
-
-
 def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield the primes in [lo, hi] as ascending int64 arrays, one per slab.
 
     Slabs of SEGMENT_ODDS odd numbers start at the first odd number at or
     above max(lo, 3), so they move with lo; concatenating the arrays for
     adjacent ranges still reproduces the primes of the union exactly.
+    The odd base primes up to isqrt(hi) come from this sieve itself, one
+    level down.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"invalid sieve range [{lo}, {hi}]")
@@ -71,7 +57,9 @@ def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
         start += 1
     if start > hi:
         return
-    base = _odd_base_primes(isqrt(hi))
+    root = isqrt(hi)
+    base = ([q for arr in iter_prime_arrays(3, root) for q in arr.tolist()]
+            if root >= 3 else [])
     span = 2 * SEGMENT_ODDS
     seg_lo = start
     while seg_lo <= hi:
@@ -81,7 +69,6 @@ def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
         n_odds = (seg_hi - seg_lo) // 2 + 1
         mask = np.ones(n_odds, dtype=bool)
         for p in base:
-            p = int(p)
             if p * p > seg_hi:
                 break
             first = max(p * p, ((seg_lo + p - 1) // p) * p)

@@ -36,13 +36,7 @@ import numpy as np
 
 from .factor import SmallFactors, small_factors
 from .intpoly import IntPoly, discriminant, squarefree_part
-from .modular import (
-    _batch_powmod,
-    _check_int64_bound,
-    _residues,
-    census_block,
-    count_roots_block,
-)
+from .modular import _nonresidue, _residues, census_block, count_roots_block
 from .parse import (
     DEFAULT_SCAN_CAP,  # re-exported
     HARD_SCAN_CAP,
@@ -141,8 +135,8 @@ def _scan_block(
                     f"cycle type {_parts(types[i].tolist())} of {fstar} at "
                     f"p={int(parr[i])} fits no factorization of degree {degree}"
                 )
-            # (disc | p) = 1 exactly when d - r is even
-            square = _batch_powmod(_residues(disc, parr), parr >> 1, parr) == 1
+            # (disc | p) = 1 exactly when d - r is even; p does not divide disc
+            square = ~_nonresidue(disc, parr)
             odd = (degree - types.sum(axis=1)) % 2 == 1
             wrong = square == odd
             if wrong.any():
@@ -171,25 +165,22 @@ def _good_prime_counts(
     At a good prime the factors stay coprime and keep their degrees, so
     counts add up over them: a linear factor has 1 root, a quadratic one
     of discriminant D has 2 roots, type (1, 1), or none, type (2), as
-    (D | p) = 1 or -1 by Euler's criterion, and the cofactor, if any, goes
-    to the kernels of `modular`.  The int64 bound of those kernels is
-    checked on deg f*, whatever the factors.
+    (D | p) = 1 or -1 by Euler's criterion, and the cofactor goes to the
+    kernels of `modular`, which count nothing for a constant one.  Their
+    int64 bound applies to the cofactor alone, the only polynomial they
+    power (modular._chunks).
     """
-    _check_int64_bound(degree, parr)
     # inert: the number of quadratic factors with no root, 0 if there are none
     inert = sum(
-        _batch_powmod(_residues(b * b - 4 * a * c, parr), parr >> 1, parr) != 1
+        _nonresidue(b * b - 4 * a * c, parr)
         for c, b, a in (q.coeffs for q in split.quadratic)
     )
     ones = len(split.linear) + 2 * len(split.quadratic) - 2 * inert
     rest = split.cofactor
     if not with_cycle_types:
-        counts = count_roots_block(rest, parr) if rest.degree else np.zeros_like(parr)
-        counts += ones
-        return counts, None
+        return count_roots_block(rest, parr) + ones, None
     types = np.zeros((parr.size, degree), dtype=np.int64)
-    if rest.degree:
-        types[:, : rest.degree] = census_block(rest, parr)
+    types[:, : rest.degree] = census_block(rest, parr)
     types[:, 0] += ones
     if split.quadratic:
         types[:, 1] += inert

@@ -308,6 +308,42 @@ def test_degree_beyond_exact_int64_exits_2():
     assert json.loads(out)["good_prime_count"] == 5
 
 
+def test_check_of_constant_forms_exits_2_before_the_scan():
+    out, err = run_cli("check", "--form", "0,0,1", "--to", "100", expect=2)
+    assert out == ""
+    assert err == ("error: the forms multiply to the constant 1; check needs a "
+                   "form with a or b nonzero\n")
+    _, err = run_cli("check", "--form", "0,0,-3", "--form", "0,0,2", "--to", "100",
+                     expect=2)
+    assert "the constant -6;" in err
+    obj = run_json("check", "--form", "0,0,1", "--form", "1,0,1", "--to", "100")
+    assert obj["verdict"] == "consistent" and obj["exact_min_roots"] == 0
+
+
+def test_coefficients_beyond_4300_digits_answer():
+    # Python converts at most 4300 digits between int and str by default
+    proc = run_entry("realroots", "--poly", "2^20000x-1")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    obj = json.loads(proc.stdout)
+    assert obj["count"] == 1
+    assert obj["polynomial"] == [-1, 2**20000]
+    proc = run_entry("realroots", "--poly", f"[-1,{10**5000}]", "--format", "text")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert f"{10**5000}x-1" in proc.stdout.decode()
+
+
+def test_tsv_is_offered_by_scan_and_census_only():
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "--form", "1,0,1", "--format", "tsv"])
+    assert exc.value.code == 2
+    for command in ("realroots --poly x^2-2", "density --form 1,0,1",
+                    "check --poly x^2-2 --to 100"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command.split(), "--format", "tsv"])
+    out, _ = run_cli("census", "--poly", "x^3-2", "--to", "100", "--format", "tsv")
+    assert out.splitlines()[0] == "root_count\tprimes"
+
+
 def test_internal_check_failure_exits_3(monkeypatch):
     # cycle type (1, 1) at every prime: the parts miss the degree 3
     monkeypatch.setattr(scanner_mod, "census_block", lambda f, primes: np.tile(
@@ -366,7 +402,7 @@ def test_census_breaking_stickelberger_exits_3(monkeypatch):
 def test_check_with_a_root_count_of_no_class_exits_3(monkeypatch):
     # Euler's criterion made to call every quadratic factor inert: 0 roots
     # at every good prime, where the classes of the triple give 2 or 6
-    monkeypatch.setattr(scanner_mod, "_batch_powmod", lambda b, e, p: np.zeros_like(p))
+    monkeypatch.setattr(scanner_mod, "_nonresidue", lambda d, p: np.ones(p.size, dtype=bool))
     out, err = run_cli("check", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2",
                        "--to", "1000", expect=3)
     assert out == ""
@@ -377,9 +413,9 @@ def test_check_with_a_root_count_of_no_class_exits_3(monkeypatch):
 def test_a_stray_count_first_seen_in_a_later_block_names_its_least_prime(monkeypatch):
     # every quadratic factor reads inert above 267144, inside the second
     # block: 0 roots there, a count no class gives, first at p = 267167
-    powmod = scanner_mod._batch_powmod
-    monkeypatch.setattr(scanner_mod, "_batch_powmod", lambda b, e, p: np.where(
-        p > 267144, 0, powmod(b, e, p)))
+    nonresidue = scanner_mod._nonresidue
+    monkeypatch.setattr(scanner_mod, "_nonresidue", lambda d, p: np.where(
+        p > 267144, True, nonresidue(d, p)))
     for w in ("1", "2", "8"):
         monkeypatch.setenv("INTERSECTIVE_THREADS", w)
         out, err = run_cli("check", "--form", "1,0,1", "--form", "1,0,2",

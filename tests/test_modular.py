@@ -18,6 +18,7 @@ from intersective.modular import (
     _frobenius,
     _gcd_degrees,
     _mod,
+    _nonresidue,
     _residues,
     census_block,
     count_roots_block,
@@ -309,6 +310,31 @@ def test_batch_powmod_matches_pow():
     exp = [rng.randrange(0, 1 << 20) for _ in primes]
     got = _batch_powmod(*(np.array(v, dtype=np.int64) for v in (base, exp, primes)))
     assert got.tolist() == [pow(b, e, q) for b, e, q in zip(base, exp, primes)]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@example(d=0, primes=[3, 2**31 - 1])
+@example(d=-1, primes=[3, 5, 7, 11, 13])
+@example(d=2**64 + 13, primes=[3, 13, 2**31 - 1])
+@given(
+    d=st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.integers(2**64, 2**200),
+        st.integers(-(10**6), 10**6),
+    ),
+    # 2**31 - 1 is prime, so every start below it reaches a prime
+    primes=st.lists(st.integers(3, 2**31 - 1).map(_next_prime), min_size=1, max_size=8),
+)
+def test_nonresidue_is_a_jacobi_symbol_of_minus_1(d, primes):
+    got = _nonresidue(d, np.array(primes, dtype=np.int64))
+    assert got.dtype == bool
+    assert got.tolist() == [jacobi(d, p) == -1 for p in primes]
 
 
 def test_cycle_type_examples():

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ def test_segment_boundaries_invisible():
 def test_interior_range_offsets():
     expected = [p for p in bytearray_sieve(2200) if 1000 <= p]
     assert list(primes_in(1000, 2200)) == expected
+
+
+def test_every_range_up_to_400():
+    expected = bytearray_sieve(400)
+    for lo in range(2, 401):
+        for hi in range(lo, 401):
+            assert list(primes_in(lo, hi)) == [p for p in expected if lo <= p <= hi]
+
+
+def test_ranges_ending_at_the_levels_of_the_base_sieve():
+    # the base primes up to isqrt(hi) come from the sieve itself, one level
+    # down: hi = p^2 takes p in, hi = p^2 - 1 leaves it out, and at p^4
+    # the level below turns over as well
+    expected = bytearray_sieve(10**6)
+    small = [p for p in expected if p < 1000]
+    ends = {p * p + k for p in small for k in (-1, 0, 1)}
+    ends |= {p**4 + k for p in small if p**4 < 10**6 for k in (-1, 0, 1)}
+    for hi in sorted(ends):
+        for lo in (2, max(2, hi - 300)):
+            want = expected[bisect_left(expected, lo) : bisect_right(expected, hi)]
+            assert list(primes_in(lo, hi)) == want, (lo, hi)
 
 
 def test_prime_arrays_are_int64_and_ascending():

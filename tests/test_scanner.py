@@ -3,13 +3,14 @@ import signal
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
-from intersective.intpoly import IntPoly, discriminant
+from intersective.intpoly import IntPoly, discriminant, multiply
 from intersective.primes import PrimeRange, primes_in
 from intersective.quadcover import QuadForm
 from intersective.scanner import (
@@ -286,6 +287,23 @@ def test_an_interrupted_parent_reaps_every_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
     assert_no_child_left()
+
+
+def test_a_product_whose_cofactor_fits_int64_is_counted_near_10_8():
+    # deg f* = 923 breaks deg * p^2 < 2^63 near 10^8, but Euler's criterion
+    # counts x^2 + 1 and only x^921 - 2 reaches the kernel.  Oracle: x^n - a
+    # has g = gcd(n, p - 1) roots at p not dividing n * a when
+    # a^((p - 1) / g) = 1 mod p, and none otherwise; x^2 + 1 adds 2 roots
+    # when p = 1 mod 4.
+    f = multiply(IntPoly([1, 0, 1]), IntPoly([-2] + [0] * 920 + [1]))
+    primes = list(primes_in(99999900, 10**8))
+    assert len(primes) == 5
+    for p in primes:
+        g = gcd(921, p - 1)
+        expected = (g if pow(2, (p - 1) // g, p) == 1 else 0) + 2 * (p % 4 == 1)
+        report = scan(f, PrimeRange(p, p))
+        assert report.excluded_primes == ()
+        assert report.histogram == {expected: 1}, p
 
 
 def test_bad_primes_of_a_huge_discriminant():
