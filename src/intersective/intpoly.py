@@ -104,15 +104,38 @@ def negate(f: IntPoly) -> IntPoly:
 
 
 def multiply(f: IntPoly, g: IntPoly) -> IntPoly:
+    """f * g by Kronecker substitution: one big-integer product.
+
+    Each factor is packed into one integer of w-byte digits, w wide
+    enough for the largest product coefficient and its sign; every digit
+    carries an offset of half its range, so signed coefficients pack and
+    unpack without borrows, and the product is read back by byte slices.
+    The powers of x that divide f and g are split off first, so a
+    monomial such as x**k costs no big product.
+    """
     if f.is_zero or g.is_zero:
         return ZERO
     a, b = f.coeffs, g.coeffs
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return IntPoly(out)
+    square = a is b
+    low = [next(i for i, c in enumerate(cs) if c) for cs in (a, b)]
+    a, b = a[low[0] :], b[low[1] :]
+    n = len(a) + len(b) - 1
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)  # > bound, so every digit lies in [1, 2 * half)
+    offsets = half.to_bytes(w, "little")
+
+    def evaluate_at_digit(cs: tuple[int, ...]) -> int:
+        packed = b"".join((c + half).to_bytes(w, "little") for c in cs)
+        return int.from_bytes(packed, "little") - int.from_bytes(offsets * len(cs), "little")
+
+    fx = evaluate_at_digit(a)
+    gx = fx if square else evaluate_at_digit(b)
+    raw = (fx * gx + int.from_bytes(offsets * n, "little")).to_bytes(n * w, "little")
+    return IntPoly(
+        [0] * sum(low)
+        + [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, n * w, w)]
+    )
 
 
 def power(f: IntPoly, k: int) -> IntPoly:

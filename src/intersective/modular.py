@@ -34,7 +34,10 @@ Berlekamp matrix, and the gcd), and the callers write each chunk's
 counts and types straight into the block's output.  So no
 array of deg f times the block's primes exists, and a scan worker's
 working set is a small multiple of _CHUNK_ENTRIES entries whatever the
-block size.
+block size.  Outside the kernels, the Euler criterion holds four arrays
+of its primes' size, since _batch_powmod consumes its base and exponent,
+and the example-prime search takes each sieve array in slices of
+_CHUNK_ENTRIES >> 2 primes.
 
 The kernels see only what a scan cannot count more cheaply: the scanner
 counts the roots and parts of the factors of degree <= 2 of f* by
@@ -78,12 +81,14 @@ _CHUNK_ENTRIES = 1 << 16
 def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Elementwise base**exp mod p on int64 arrays, exp >= 0 and p**2 < 2**63.
 
+    Consumes base and exp: base is reduced and squared in place and exp
+    shifted down to 0, so a call holds two arrays beside its arguments.
     Square and multiply on residues in [0, p), so np.fmod never sees a
     negative entry; a lane whose bit is clear multiplies by 1, branch-free.
     """
     acc = np.ones_like(p)
-    b = base % p
-    e = exp.copy()
+    b, e = base, exp
+    b %= p
     bit = np.empty_like(e)
     for _ in range(int(e.max()).bit_length()):
         np.bitwise_and(e, 1, out=bit)
@@ -113,8 +118,11 @@ def _residues(d: int, p: np.ndarray) -> np.ndarray:
 
 def _nonresidue(d: int, primes: np.ndarray) -> np.ndarray:
     """(d | p) = -1 for each odd prime p < 2**31, by Euler's criterion
-    d^((p-1)/2) = -1 mod p; False where p divides d."""
-    return _batch_powmod(_residues(d, primes), primes >> 1, primes) == primes - 1
+    d^((p-1)/2) = -1 mod p; False where p divides d.  primes is left
+    as it is."""
+    r = _batch_powmod(_residues(d, primes), primes >> 1, primes)
+    r += 1
+    return r == primes
 
 
 def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
@@ -123,19 +131,24 @@ def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:
 
     Euler's criterion d^((p-1)/2) = -1 mod p runs over arrays of primes,
     one discriminant at a time on the primes still in play.  The windows
-    of primes grow by 16x, so an early example costs one small window.
+    of primes grow by 16x, so an early example costs one small window,
+    and each sieve array is filtered in slices of _CHUNK_ENTRIES >> 2
+    primes, so a search to 10**6 holds about 1 MiB whatever the window.
     """
     if bound >= 1 << 31:
         raise ValueError("example prime bound must be below 2**31")
+    step = _CHUNK_ENTRIES >> 2
     lo, hi = 3, 1 << 10
     while lo <= bound:
-        for p in iter_prime_arrays(lo, min(hi, bound)):
-            for d in discs:
-                if not p.size:
-                    break
-                p = p[_nonresidue(d, p)]
-            if p.size:
-                return int(p[0])
+        for arr in iter_prime_arrays(lo, min(hi, bound)):
+            for i in range(0, arr.size, step):
+                p = arr[i : i + step]
+                for d in discs:
+                    if not p.size:
+                        break
+                    p = p[_nonresidue(d, p)]
+                if p.size:
+                    return int(p[0])
         lo, hi = hi + 1, hi << 4
     return None
 

@@ -77,7 +77,9 @@ def iter_prime_arrays(lo: int, hi: int) -> Iterator[np.ndarray]:
             if first > seg_hi:
                 continue
             mask[(first - seg_lo) // 2 :: p] = False
-        primes = seg_lo + 2 * np.flatnonzero(mask).astype(np.int64)
+        primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+        primes *= 2
+        primes += seg_lo
         if primes.size:
             yield primes
         seg_lo += span

@@ -146,7 +146,11 @@ def _scan_block(
                     f"p={int(parr[i])} breaks Stickelberger's parity: "
                     f"(disc | p) = {1 if square[i] else -1}"
                 )
-            for row, v in Counter(map(tuple, types.tolist())).items():
+            # one void item per row, so np.unique counts whole rows
+            rows = types.view(np.dtype((np.void, types.itemsize * degree)))
+            distinct, freq = np.unique(rows.ravel(), return_counts=True)
+            decoded = distinct.view(np.int64).reshape(-1, degree).tolist()
+            for row, v in zip(decoded, freq.tolist()):
                 cyc[_parts(row)] += v
         tally = np.bincount(counts, minlength=degree + 1)
         for k in np.flatnonzero(tally).tolist():

@@ -5,6 +5,7 @@ Root counts by deg gcd(x^p - x, f mod p), roots by brute force, cycle
 types by distinct-degree factorization, the Jacobi symbol, and covering
 of a prime by a quadratic form, one prime at a time on Python ints;
 deterministic Miller-Rabin primality below 2**64; and over Z, the
+schoolbook product, which the Kronecker product is tested against, the
 primitive remainder sequence (gcd, squarefree part and Sturm chain) and
 the Sylvester determinant of a resultant, which the subresultant
 sequence is tested against.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from intersective.intpoly import (
     ONE,
+    ZERO,
     IntPoly,
     derivative,
     discriminant,
@@ -309,6 +311,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def schoolbook_multiply(f: IntPoly, g: IntPoly) -> IntPoly:
+    if f.is_zero or g.is_zero:
+        return ZERO
+    a, b = f.coeffs, g.coeffs
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return IntPoly(out)
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:

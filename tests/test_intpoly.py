@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersective.intpoly import (
@@ -20,7 +20,7 @@ from intersective.intpoly import (
     squarefree_part,
     to_text,
 )
-from oracles import poly_gcd, sylvester_resultant
+from oracles import poly_gcd, schoolbook_multiply, sylvester_resultant
 
 
 def random_poly(rng, max_deg, max_coeff, nonzero=True):
@@ -85,6 +85,30 @@ def test_multiply_matches_evaluation():
         h = multiply(f, g)
         for x in (-3, -1, 0, 1, 2, 10):
             assert evaluate(h, x) == evaluate(f, x) * evaluate(g, x)
+
+
+_COEFFS = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.integers(-(2**200), 2**200),
+        st.sampled_from([2**64 - 1, 2**64, -(2**64), 2**64 + 1]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(f=[], g=[1, -1])
+@example(f=[0, 0, 3], g=[0, -(2**64) - 1, 0, 2**70])
+@example(f=[127] * 3, g=[-127] * 5)  # the largest product coefficient, 3 * 127**2
+@example(f=[-128, 127], g=[1, 1])
+@given(f=_COEFFS, g=_COEFFS)
+def test_multiply_matches_schoolbook_oracle(f, g):
+    f, g = IntPoly(f), IntPoly(g)
+    assert multiply(f, g) == schoolbook_multiply(f, g)
+    assert multiply(g, f) == schoolbook_multiply(f, g)
+    assert multiply(f, f) == schoolbook_multiply(f, f)
 
 
 def test_discriminant_frozen_values():

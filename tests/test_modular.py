@@ -337,6 +337,22 @@ def test_nonresidue_is_a_jacobi_symbol_of_minus_1(d, primes):
     assert got.tolist() == [jacobi(d, p) == -1 for p in primes]
 
 
+def test_nonresidue_leaves_the_primes_and_holds_four_arrays():
+    # the residues and the exponent are consumed by the powering, which
+    # adds two arrays
+    primes = np.array(list(primes_in(3, 10**6)), dtype=np.int64)
+    kept = primes.copy()
+    tracemalloc.start()
+    try:
+        got = _nonresidue(-3, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(primes, kept)
+    assert got.tolist() == [p % 3 == 2 for p in kept.tolist()]
+    assert peak < 5 * primes.nbytes, peak / primes.nbytes
+
+
 def test_cycle_type_examples():
     assert cycle_type_mod_p(TRIPLE, 7) == (1, 1, 2, 2)
     assert cycle_type_mod_p(IntPoly([-2, 0, 0, 1]), 5) == (1, 2)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective.primes import primes_in
+from intersective.primes import iter_prime_arrays, primes_in
 from intersective.quadcover import (
     Covers,
     FailsToCover,
@@ -21,7 +22,7 @@ from intersective.quadcover import (
     product_polynomial,
 )
 from oracles import form_covers_p, form_covers_p_exhaustive, jacobi
-from intersective.modular import _find_uncovered_prime
+from intersective.modular import _CHUNK_ENTRIES, _find_uncovered_prime
 from intersective.quadcover import _macwilliams, _weight_counts
 
 TRIPLE = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
@@ -544,6 +545,26 @@ def test_example_prime_search_windows():
     )
     with pytest.raises(ValueError):
         _find_uncovered_prime(discs, 2**31)
+
+
+def test_example_prime_search_holds_one_slice():
+    # each sieve array of about 40,000 primes is filtered in slices of
+    # _CHUNK_ENTRIES >> 2 primes: the search to 10**6 of the 20 odd primes
+    # to 73, which finds none, and an example past the first slice of its
+    # sieve array, hold well under what a whole array's Euler criterion does
+    odd = list(primes_in(3, 73))
+    first = next(iter_prime_arrays(262145, 10**6))
+    assert first[_CHUNK_ENTRIES >> 2] < 679733 <= first[-1]
+    assert scalar_uncovered_prime([-4 * p for p in odd[:15]], 10**6) == 679733
+    for discs, example in (([-4 * p for p in odd], None), ([-4 * p for p in odd[:15]], 679733)):
+        tracemalloc.start()
+        try:
+            found = _find_uncovered_prime(discs, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == example
+        assert peak < 3 << 19, peak  # 1.5 MiB
 
 
 def brute_weight_counts(columns, dim):
