@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intpoly import ONE, IntPoly, derivative, discriminant, exact_div, primitive_part
+from .intpoly import ONE, IntPoly, canonical, derivative, discriminant, exact_div
 from .modular import _residues
 from .primes import iter_prime_arrays
 
@@ -40,8 +40,8 @@ _CANDIDATE_BOUND = 1 << 12
 
 class SmallFactors(NamedTuple):
     """f* as its linear factors times its quadratic factors times the
-    cofactor, which is ONE or of degree at least 3; each is primitive with
-    a positive leading coefficient."""
+    cofactor, which is ONE or of degree at least 3; each is canonical
+    (intpoly.canonical)."""
 
     linear: tuple[IntPoly, ...]
     quadratic: tuple[IntPoly, ...]
@@ -52,10 +52,9 @@ def small_factors(f: IntPoly) -> SmallFactors:
     """The factors of degree <= 2 of f that the root search finds, and
     the cofactor; deterministic in f.
 
-    f must be squarefree, primitive and have lc > 0, as
-    intpoly.squarefree_part returns it.  Every linear factor is found;
-    a quadratic factor, when it splits at the chosen prime or is what is
-    left of degree 2.
+    f must be squarefree and canonical, as intpoly.squarefree_part
+    returns it.  Every linear factor is found; a quadratic factor, when it
+    splits at the chosen prime or is what is left of degree 2.
     """
     if f.degree <= 2:
         return SmallFactors((f,), (), ONE) if f.degree == 1 else SmallFactors((), (f,), ONE)
@@ -109,15 +108,13 @@ def small_factors(f: IntPoly) -> SmallFactors:
 def _divide_out(
     f: IntPoly, h: tuple[int, ...], m: int, bound: int
 ) -> tuple[IntPoly, IntPoly] | None:
-    """(g, f / g) for g the primitive part of h in symmetric residues mod
-    m, lc(g) > 0, when every residue is within bound and g divides f."""
+    """(g, f / g) for g the canonical form of h in symmetric residues mod
+    m, when every residue is within bound and g divides f."""
     sym = [c % m for c in h]
     sym = [c - m if 2 * c > m else c for c in sym]
     if any(abs(c) > bound for c in sym):
         return None
-    g = primitive_part(IntPoly(sym))
-    if g.lc < 0:
-        g = -g
+    g = canonical(IntPoly(sym))
     # cheap necessary conditions before the division
     if f.lc % g.lc or (g.coeffs[0] and f.coeffs[0] % g.coeffs[0]):
         return None

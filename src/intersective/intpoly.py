@@ -170,6 +170,12 @@ def primitive_part(f: IntPoly) -> IntPoly:
     return IntPoly([c // ct for c in f.coeffs])
 
 
+def canonical(f: IntPoly) -> IntPoly:
+    """f divided by its content, with lc > 0: the one form of a factor."""
+    f = primitive_part(f)
+    return negate(f) if not f.is_zero and f.lc < 0 else f
+
+
 def prem(f: IntPoly, g: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(g)**(deg f - deg g + 1) * f modulo g.
 
@@ -307,20 +313,17 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     """f*: primitive, with positive leading coefficient and the complex
     roots of f, all simple; formed here and nowhere else.
 
-    primitive(f), made to lead positive before its sequence with f' runs,
-    divided by the primitive part of the sequence's last element, gcd(f,
-    f') up to a scalar.  So for a squarefree f that sequence is (f*, f*').
+    canonical(f), formed before its sequence with f' runs, divided by the
+    primitive part of the sequence's last element, gcd(f, f') up to a
+    scalar.  So for a squarefree f that sequence is (f*, f*').
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
-    fp = primitive_part(f)
+    fp = canonical(f)
     if fp.degree == 0:
         return ONE
-    if fp.lc < 0:
-        fp = negate(fp)
     last = subresultant_prs(fp, derivative(fp))[0][-1]
-    q = exact_div(fp, primitive_part(last)) if last.degree > 0 else fp
-    return negate(q) if q.lc < 0 else q
+    return canonical(exact_div(fp, primitive_part(last))) if last.degree > 0 else fp
 
 
 def signed_terms(terms: Iterable[tuple[int, str]]) -> str:

@@ -35,9 +35,9 @@ counts and types straight into the block's output.  So no
 array of deg f times the block's primes exists, and a scan worker's
 working set is a small multiple of _CHUNK_ENTRIES entries whatever the
 block size.  Outside the kernels, the Euler criterion holds four arrays
-of its primes' size, since _batch_powmod consumes its base and exponent,
-and the example-prime search takes each sieve array in slices of
-_CHUNK_ENTRIES >> 2 primes.
+of its primes' size, since _nonresidue squares its base and shifts its
+exponent in place, and the example-prime search takes each sieve array
+in slices of _CHUNK_ENTRIES >> 2 primes.
 
 The kernels see only what a scan cannot count more cheaply: the scanner
 counts the roots and parts of the factors of degree <= 2 of f* by
@@ -78,32 +78,6 @@ _INT64_LIMIT = 1 << 63
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _batch_powmod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Elementwise base**exp mod p on int64 arrays, exp >= 0 and p**2 < 2**63.
-
-    Consumes base and exp: base is reduced and squared in place and exp
-    shifted down to 0, so a call holds two arrays beside its arguments.
-    Square and multiply on residues in [0, p), so np.fmod never sees a
-    negative entry; a lane whose bit is clear multiplies by 1, branch-free.
-    """
-    acc = np.ones_like(p)
-    b, e = base, exp
-    b %= p
-    bit = np.empty_like(e)
-    for _ in range(int(e.max()).bit_length()):
-        np.bitwise_and(e, 1, out=bit)
-        b -= 1
-        bit *= b
-        b += 1
-        bit += 1
-        acc *= bit
-        np.fmod(acc, p, out=acc)
-        b *= b
-        np.fmod(b, p, out=b)
-        e >>= 1
-    return acc
-
-
 def _residues(d: int, p: np.ndarray) -> np.ndarray:
     """d mod p for each prime p < 2**31, exactly for any integer d:
     Horner over the 30-bit limbs of |d|, every step below 2**62."""
@@ -119,10 +93,30 @@ def _residues(d: int, p: np.ndarray) -> np.ndarray:
 def _nonresidue(d: int, primes: np.ndarray) -> np.ndarray:
     """(d | p) = -1 for each odd prime p < 2**31, by Euler's criterion
     d^((p-1)/2) = -1 mod p; False where p divides d.  primes is left
-    as it is."""
-    r = _batch_powmod(_residues(d, primes), primes >> 1, primes)
-    r += 1
-    return r == primes
+    as it is.
+
+    Square and multiply in place on residues in [0, p), so np.fmod never
+    sees a negative entry; a lane whose exponent bit is clear multiplies
+    by 1, branch-free.  A call holds four arrays of the primes' size: the
+    base, the exponent, the power and the bit.
+    """
+    b = _residues(d, primes)
+    e = primes >> 1
+    acc = np.ones_like(primes)
+    bit = np.empty_like(e)
+    for _ in range(int(e.max()).bit_length()):
+        np.bitwise_and(e, 1, out=bit)
+        b -= 1
+        bit *= b
+        b += 1
+        bit += 1
+        acc *= bit
+        np.fmod(acc, primes, out=acc)
+        b *= b
+        np.fmod(b, primes, out=b)
+        e >>= 1
+    acc += 1
+    return acc == primes
 
 
 def _find_uncovered_prime(discs: list[int], bound: int) -> int | None:

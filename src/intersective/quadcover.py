@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import NamedTuple, Union
 
-from .intpoly import IntPoly, multiply, primitive_part, signed_terms
+from .intpoly import IntPoly, canonical, multiply, signed_terms
 
 EXAMPLE_PRIME_BOUND = 10**6
 
@@ -274,29 +274,25 @@ def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
     """Distribution of the number of distinct roots of prod_i (a_i t^2 + b_i t + c_i)
     mod p over the Frobenius classes, each class carrying density 2**-rank.
 
-    Each distinct irreducible factor over Q counts once.  A linear factor
-    (from a = 0, or from a square discriminant) has one root at every good
-    prime; an irreducible quadratic has 2 roots on half of the classes and
-    0 on the other half.
+    Each distinct irreducible factor over Q counts once, keyed by its
+    canonical form (intpoly.canonical).  A linear factor (from a = 0, or
+    from a square discriminant) has one root at every good prime; an
+    irreducible quadratic has 2 roots on half of the classes and 0 on the
+    other half.
     """
     classes, _basis = build_square_classes(forms)
-
-    def key(*coeffs: int) -> IntPoly:  # primitive, leading coefficient > 0
-        f = primitive_part(IntPoly(coeffs))
-        return -f if f.lc < 0 else f
-
     linear: set[IntPoly] = set()
     quadratic: dict[IntPoly, int] = {}
     for q, cl in zip(forms, classes):
         if q.a == 0:
             if q.b != 0:  # constants add nothing
-                linear.add(key(q.c, q.b))
+                linear.add(canonical(IntPoly((q.c, q.b))))
         elif cl.is_trivial:
             s = isqrt(form_discriminant(q))  # roots (-b -+ s) / 2a
-            linear.add(key(q.b + s, 2 * q.a))
-            linear.add(key(q.b - s, 2 * q.a))
+            linear.add(canonical(IntPoly((q.b + s, 2 * q.a))))
+            linear.add(canonical(IntPoly((q.b - s, 2 * q.a))))
         else:
-            quadratic[key(q.c, q.b, q.a)] = cl.bits
+            quadratic[canonical(IntPoly((q.c, q.b, q.a)))] = cl.bits
 
     # Character psi gives the word (<psi, w_i>)_i of the binary code C of
     # length n, one coordinate per distinct quadratic.  C has dimension

@@ -37,12 +37,7 @@ import numpy as np
 from .factor import SmallFactors, small_factors
 from .intpoly import IntPoly, discriminant, squarefree_part
 from .modular import _nonresidue, _residues, census_block, count_roots_block
-from .parse import (
-    DEFAULT_SCAN_CAP,  # re-exported
-    HARD_SCAN_CAP,
-    InvariantViolation,
-    WorkerLost,
-)
+from .parse import HARD_SCAN_CAP, InvariantViolation, WorkerLost
 from .primes import PrimeRange, iter_prime_arrays
 from .quadcover import (
     QuadForm,
@@ -383,14 +378,12 @@ class RealRootCheck(NamedTuple):
     mode: str
 
 
-def check_real_roots(
-    f: IntPoly, rng: PrimeRange, workers: int | None = None
-) -> RealRootCheck:
+def check_real_roots(f: IntPoly, rng: PrimeRange) -> RealRootCheck:
     """Empirical check: if every scanned good prime sees a root, expect a real root."""
     # imported here, as in check_real_roots_forms: a scan never loads sturm
     from .sturm import count_real_roots
 
-    report = scan(f, rng, workers=workers)
+    report = scan(f, rng)
     real = count_real_roots(f)
     observed = report.min_roots_observed
     if observed is None or observed == 0:
@@ -401,7 +394,7 @@ def check_real_roots(
 
 
 def check_real_roots_forms(
-    forms: list[QuadForm], rng: PrimeRange, workers: int | None = None
+    forms: list[QuadForm], rng: PrimeRange
 ) -> tuple[RealRootCheck, ScanReport, RootDistribution]:
     """Exact check for products of quadratic forms.
 
@@ -415,7 +408,7 @@ def check_real_roots_forms(
 
     dist = exact_root_distribution(forms)
     f = product_polynomial(forms)
-    report = scan(f, rng, workers=workers)
+    report = scan(f, rng)
     stray = [k for k in report.histogram if k not in dist.densities]
     if stray:
         raise InvariantViolation(

@@ -8,6 +8,11 @@ rational chain.  f* is intpoly.squarefree_part(f), formed there and
 nowhere else; for a squarefree f the one remainder sequence it runs is
 the proof that f* = f, the chain, and in a scan also disc(f*).
 
+Every sign check is integer arithmetic at a dyadic point x = n / 2**e:
+_value_at evaluates 2**(e deg f) f(x) by Horner's rule on the homogenised
+form.  Isolation starts from the integer bound (-B, B) and only halves
+widths, so no other point occurs, whatever the requested width.
+
 Isolating intervals come from bisection with Sturm counts.  Each is then
 narrowed by quadratic interval refinement (Abbott, "Quadratic interval
 refinement for real roots", 2014; Kerber and Sagraloff, ISSAC 2011): a
@@ -90,19 +95,20 @@ def _sign_at_infinity(f: IntPoly, positive: bool) -> int:
     return s
 
 
-def _sign_at(f: IntPoly, x: Fraction) -> int:
-    """Sign of f(x) via homogeneous integer evaluation."""
-    num, den = x.numerator, x.denominator
-    acc = 0
-    scale = 1
-    for c in reversed(f.coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
+def _dyadic(x: Fraction) -> tuple[int, int]:
+    """(n, e) with x = n / 2**e.  Isolation starts from an integer bound
+    and only halves widths, so any other x is a bug; the AssertionError
+    is raised, not asserted, so python -O keeps the check."""
+    den = x.denominator
+    if den & (den - 1):
+        raise AssertionError(f"{x} is not a dyadic point")
+    return x.numerator, den.bit_length() - 1
 
 
-def _variations_at(chain: list[IntPoly], x: Fraction) -> int:
-    return _variations([_sign_at(g, x) for g in chain])
+def _sign_at(rev: tuple[int, ...], x: Fraction) -> int:
+    """Sign of f(x) at a dyadic x, rev the coefficients of f leading first."""
+    v = _value_at(rev, *_dyadic(x))
+    return (v > 0) - (v < 0)
 
 
 def _root_count(chain: list[IntPoly]) -> int:
@@ -143,20 +149,20 @@ def isolate_real_roots(
     if min_width <= 0:
         raise ValueError("min_width must be positive")
     chain = sturm_chain(f)
-    fstar = chain[0]
     total = _root_count(chain)
     if total == 0:
         return []
 
+    revs = [g.coeffs[::-1] for g in chain]
     var_cache: dict[Fraction, int] = {}
 
     def var(x: Fraction) -> int:
         if x not in var_cache:
-            var_cache[x] = _variations_at(chain, x)
+            var_cache[x] = _variations([_sign_at(rev, x) for rev in revs])
         return var_cache[x]
 
     def sign(x: Fraction) -> int:
-        return _sign_at(fstar, x)
+        return _sign_at(revs[0], x)
 
     def sliver(mid: Fraction, w: Fraction) -> Interval:
         """(mid - w/2**j, mid + w/2**j) for the least j at which it
@@ -172,7 +178,7 @@ def isolate_real_roots(
         w /= 2 ** _halvings(2 * w, min_width)
         return Interval(mid - w, mid + w)
 
-    bound = Fraction(_root_bound(fstar))
+    bound = Fraction(_root_bound(chain[0]))
     found: list[Interval] = []
     stack = [(-bound, bound)]
     while stack:
@@ -181,7 +187,7 @@ def isolate_real_roots(
         if n == 0:
             continue
         if n == 1:
-            found.append(_refine(fstar, lo, hi, min_width, sliver))
+            found.append(_refine(revs[0], lo, hi, min_width, sliver))
             continue
         mid = (lo + hi) / 2
         if sign(mid) != 0:
@@ -212,13 +218,14 @@ def _value_at(rev: tuple[int, ...], x: int, sh: int) -> int:
 
 
 def _refine(
-    fstar: IntPoly,
+    rev: tuple[int, ...],
     lo: Fraction,
     hi: Fraction,
     min_width: Fraction,
     sliver,
 ) -> Interval:
-    """Shrink an interval holding exactly one simple root.
+    """Shrink an interval holding exactly one simple root of f*, rev its
+    coefficients leading first.
 
     Level L of the dyadic grid of (lo, hi) has cells of width W / 2**L,
     W = hi - lo.  The result is the level-m cell holding the root, m
@@ -233,14 +240,11 @@ def _refine(
     m = _halvings(hi - lo, min_width)
     if m == 0:
         return Interval(lo, hi)
-    den = max(lo.denominator, hi.denominator)
-    if den & (den - 1):
-        raise AssertionError("isolating intervals have dyadic endpoints")
-    e = den.bit_length() - 1
-    x0 = lo.numerator * (den // lo.denominator)
-    y = hi.numerator * (den // hi.denominator) - x0
-    rev = fstar.coeffs[::-1]
-    d = fstar.degree
+    (a, ea), (b, eb) = _dyadic(lo), _dyadic(hi)
+    e = max(ea, eb)
+    x0 = a << (e - ea)
+    y = (b << (e - eb)) - x0
+    d = len(rev) - 1
 
     def point(level: int, idx: int) -> int:
         return (x0 << level) + idx * y

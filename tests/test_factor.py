@@ -16,10 +16,10 @@ from intersective.factor import small_factors
 from intersective.intpoly import (
     ONE,
     IntPoly,
+    canonical,
     discriminant,
     exact_div,
     multiply,
-    primitive_part,
     squarefree_part,
 )
 from intersective.modular import census_block, count_roots_block
@@ -104,11 +104,6 @@ def product(parts):
     return reduce(multiply, (IntPoly(c) for part in parts for c in part), ONE)
 
 
-def normalized(g):
-    g = primitive_part(g)
-    return -g if g.lc < 0 else g
-
-
 @settings(max_examples=80, deadline=None)
 @example(parts=([], [(1, 0, 1), (2, 0, 1), (-2, 0, 1)], []))
 @example(parts=([(1, 1), (1, 1)], [(-1, 0, 1)], [(-1, -1, 0, 1)]))  # (x+1)^3 (x-1)
@@ -117,19 +112,21 @@ def test_the_factors_found_multiply_back_to_f_star(parts):
     fstar = squarefree_part(product(parts))
     split = small_factors(fstar)
     assert small_factors(fstar) == split  # deterministic
+    # f* and every factor are in the one canonical form
+    for g in (fstar, *split.linear, *split.quadratic, split.cofactor):
+        assert canonical(g) == g, g
     assert all(g.degree == 1 for g in split.linear)
     assert all(g.degree == 2 for g in split.quadratic)
     assert split.cofactor == ONE or split.cofactor.degree >= 3
     rest = fstar
     for g in (*split.linear, *split.quadratic):
-        assert g.lc > 0 and normalized(g) == g
         exact_div(fstar, g)  # every factor divides f* on its own
         rest = exact_div(rest, g)
     assert rest == split.cofactor
     # a linear factor has a root at every good prime, so none is missed
     for c in parts[0]:
         with pytest.raises(ArithmeticError):
-            exact_div(split.cofactor, normalized(IntPoly(c)))
+            exact_div(split.cofactor, canonical(IntPoly(c)))
 
 
 def unfactored_scan(f, lo, hi):

@@ -8,6 +8,7 @@ from intersective.intpoly import (
     ONE,
     ZERO,
     IntPoly,
+    canonical,
     content,
     derivative,
     discriminant,
@@ -164,6 +165,15 @@ def test_discriminant_of_x_to_the_n_minus_2(n):
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     f = IntPoly([-2] + [0] * (n - 1) + [1])
     assert discriminant(f) == sign * n**n * (-2) ** (n - 1)
+
+
+def test_canonical_divides_out_content_and_leads_positive():
+    assert canonical(ZERO) == ZERO
+    assert canonical(IntPoly([1, 0, -1])) == IntPoly([-1, 0, 1])
+    assert canonical(IntPoly([4, 0, -6])) == IntPoly([-2, 0, 3])  # -6x^2+4
+    assert canonical(IntPoly([-7])) == ONE
+    f = IntPoly([-2, 0, 3])
+    assert canonical(f) == f
 
 
 def test_squarefree_part_examples():

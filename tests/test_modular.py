@@ -13,7 +13,6 @@ import intersective.modular as modular_mod
 
 from intersective.intpoly import IntPoly, discriminant, multiply, squarefree_part
 from intersective.modular import (
-    _batch_powmod,
     _cycle_types,
     _frobenius,
     _gcd_degrees,
@@ -301,15 +300,6 @@ def test_mod_matches_python_mod_at_the_int64_edge():
     assert _mod(a.copy(), pa).tolist() == [v % p for v in values]
     rows = np.stack([a, a[::-1]])  # one residue per lane, coefficient-major
     assert _mod(rows.copy(), pa).tolist() == [[v % p for v in r] for r in rows.tolist()]
-
-
-def test_batch_powmod_matches_pow():
-    rng = random.Random(5)
-    primes = list(primes_in(2, 5000)) + [99999989, largest_batched_primes(2, 1)[0]]
-    base = [rng.randrange(-(10**9), 10**9) for _ in primes]
-    exp = [rng.randrange(0, 1 << 20) for _ in primes]
-    got = _batch_powmod(*(np.array(v, dtype=np.int64) for v in (base, exp, primes)))
-    assert got.tolist() == [pow(b, e, q) for b, e, q in zip(base, exp, primes)]
 
 
 def _next_prime(n):

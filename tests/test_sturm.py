@@ -287,14 +287,25 @@ def build(linear, quadratic) -> IntPoly:
 @given(
     linear=st.lists(LINEAR, max_size=4),
     quadratic=st.lists(QUADRATIC, max_size=2),
-    k=st.integers(0, 300),
+    # a width that is not dyadic still leaves every point evaluated dyadic
+    width=st.one_of(
+        st.integers(0, 300).map(lambda k: Fraction(1, 2**k)),
+        st.sampled_from((Fraction(1, 3), Fraction(7, 10), Fraction(5), Fraction(1, 10**9))),
+    ),
 )
-def test_isolation_matches_bisection_oracle(linear, quadratic, k):
+def test_isolation_matches_bisection_oracle(linear, quadratic, width):
     f = build(linear, quadratic)
     if f.degree < 1:
         return
-    width = Fraction(1, 2**k)
     assert isolate_real_roots(f, width) == bisection_isolate(f, width)
+
+
+def test_sign_checks_refuse_a_point_that_is_not_dyadic():
+    rev = IntPoly([-1, 3]).coeffs[::-1]
+    assert sturm._sign_at(rev, Fraction(1, 2)) == 1
+    assert sturm._sign_at(rev, Fraction(-5, 8)) == -1
+    with pytest.raises(AssertionError, match="1/3 is not a dyadic point"):
+        sturm._sign_at(rev, Fraction(1, 3))
 
 
 def test_refinement_grid_roots_match_bisection():
@@ -318,15 +329,27 @@ def wilkinson(n: int) -> IntPoly:
 
 
 def test_wilkinson_refinement_sign_checks_are_logarithmic(monkeypatch):
+    # only the evaluations made while _refine runs: bisection's sign
+    # checks go through _value_at too
     calls = 0
-    value_at = sturm._value_at
+    refining = False
+    value_at, refine = sturm._value_at, sturm._refine
 
     def counted(*args):
         nonlocal calls
-        calls += 1
+        calls += refining
         return value_at(*args)
 
+    def scoped(*args):
+        nonlocal refining
+        refining = True
+        try:
+            return refine(*args)
+        finally:
+            refining = False
+
     monkeypatch.setattr(sturm, "_value_at", counted)
+    monkeypatch.setattr(sturm, "_refine", scoped)
     intervals = isolate_real_roots(wilkinson(20), Fraction(1, 2**1000))
     assert [iv.lo < r < iv.hi for iv, r in zip(intervals, range(1, 21))] == [True] * 20
     assert all(iv.width <= Fraction(1, 2**1000) for iv in intervals)
@@ -372,19 +395,18 @@ def test_check_runs_one_remainder_sequence_per_polynomial(monkeypatch):
     rng = random.Random(16)
     f = dense_poly(rng, 40)
     assert discriminant(f) != 0
-    calls = prem_calls(monkeypatch, lambda: check_real_roots(f, primes, workers=1))
+    calls = prem_calls(monkeypatch, lambda: check_real_roots(f, primes))
     assert 0 < calls <= f.degree - 1, calls
 
     triple = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
-    calls = prem_calls(
-        monkeypatch, lambda: check_real_roots_forms(triple, primes, workers=1))
+    calls = prem_calls(monkeypatch, lambda: check_real_roots_forms(triple, primes))
     assert 0 < calls <= 5, calls
 
     g = dense_poly(rng, 8)
     f = multiply(multiply(g, g), dense_poly(rng, 10))
     fstar = squarefree_part(f)
     assert fstar.degree == 18
-    calls = prem_calls(monkeypatch, lambda: check_real_roots(f, primes, workers=1))
+    calls = prem_calls(monkeypatch, lambda: check_real_roots(f, primes))
     assert 0 < calls <= (f.degree - 1) + (fstar.degree - 1), calls
 
 
