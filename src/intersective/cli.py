@@ -223,14 +223,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
 def _cmd_density(args: argparse.Namespace) -> None:
     forms = _collect_forms(args)
     dist = exact_root_distribution(forms)
-    obj = reports.distribution_json(dist)
-    lines = [
-        f"square-class rank: {dist.rank}",
-        f"minimum roots over classes: {dist.min_roots}",
-    ]
-    for k, v in dist.densities.items():
-        lines.append(f"  roots={k}: {reports.rational_str(v)} = {reports.decimal6(v)}")
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, reports.distribution_json(dist), reports.distribution_text(dist))
 
 
 _COMMANDS = {

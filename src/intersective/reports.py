@@ -260,3 +260,13 @@ def distribution_json(dist: RootDistribution) -> dict:
         "min_roots": dist.min_roots,
         "rank": dist.rank,
     }
+
+
+def distribution_text(dist: RootDistribution) -> str:
+    lines = [
+        f"square-class rank: {dist.rank}",
+        f"minimum roots over classes: {dist.min_roots}",
+    ]
+    for k, v in dist.densities.items():
+        lines.append(f"  roots={k}: {rational_str(v)} = {decimal6(v)}")
+    return "\n".join(lines)

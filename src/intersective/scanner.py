@@ -96,7 +96,7 @@ def _scan_block(
     lo: int,
     hi: int,
     with_cycle_types: bool,
-) -> tuple[Counter, Counter | None, list[int], dict[int, int]]:
+) -> tuple[Counter, Counter, list[int], dict[int, int]]:
     """Root-count histogram, cycle types, excluded primes and the least
     prime with each root count, of one block; disc is disc(f*) and split
     its factors of degree <= 2 (small_factors).
@@ -110,7 +110,7 @@ def _scan_block(
     """
     bad = 2 * abs(fstar.lc) * abs(disc)
     hist: Counter = Counter()
-    cyc: Counter | None = Counter() if with_cycle_types else None
+    cyc: Counter = Counter()
     excluded: list[int] = []
     least: dict[int, int] = {}
     degree = fstar.degree
@@ -323,7 +323,7 @@ def scan(
 
     nworkers = min(resolve_workers(workers), len(blocks))
 
-    def run(lo: int, hi: int) -> tuple[Counter, Counter | None, list[int], dict]:
+    def run(lo: int, hi: int) -> tuple[Counter, Counter, list[int], dict]:
         return _scan_block(fstar, disc, split, lo, hi, with_cycle_types)
 
     # a child forked beside other threads can deadlock on a lock one of
@@ -334,13 +334,12 @@ def scan(
         partials = _run_forked(run, blocks, nworkers)
 
     hist: Counter = Counter()
-    cyc: Counter | None = Counter() if with_cycle_types else None
+    cyc: Counter = Counter()
     excluded: list[int] = []
     least: dict[int, int] = {}
     for bh, bc, bex, bleast in partials:  # merge in block order
         hist.update(bh)
-        if cyc is not None and bc is not None:
-            cyc.update(bc)
+        cyc.update(bc)
         excluded.extend(bex)
         for k, p in bleast.items():
             least.setdefault(k, p)  # blocks ascend: the first is the least
@@ -352,7 +351,7 @@ def scan(
         histogram=dict(sorted(hist.items())),
         min_roots_observed=min(hist) if hist else None,
         cycle_type_histogram=(
-            dict(sorted(cyc.items())) if cyc is not None else None
+            dict(sorted(cyc.items())) if with_cycle_types else None
         ),
         empirical_density_with_root=(
             Fraction(good - hist[0], good) if good else None

@@ -8,10 +8,12 @@ rational chain.  f* is intpoly.squarefree_part(f), formed there and
 nowhere else; for a squarefree f the one remainder sequence it runs is
 the proof that f* = f, the chain, and in a scan also disc(f*).
 
-Every sign check is integer arithmetic at a dyadic point x = n / 2**e:
-_value_at evaluates 2**(e deg f) f(x) by Horner's rule on the homogenised
-form.  Isolation starts from the integer bound (-B, B) and only halves
-widths, so no other point occurs, whatever the requested width.
+Every point isolation evaluates is (L, j), the point B j / 2**L of the
+dyadic grid of (-B, B), B = _root_bound(f*); every interval is (L, a, b).
+A sign check is integer arithmetic: _value_at(rev, B j, L) is
+2**(L deg f) f(B j / 2**L), by Horner's rule on the homogenised form.
+Isolation only halves widths, so no other point occurs, whatever the
+requested width, and a Fraction is built only for the output.
 
 Isolating intervals come from bisection with Sturm counts.  Each is then
 narrowed by quadratic interval refinement (Abbott, "Quadratic interval
@@ -95,22 +97,6 @@ def _sign_at_infinity(f: IntPoly, positive: bool) -> int:
     return s
 
 
-def _dyadic(x: Fraction) -> tuple[int, int]:
-    """(n, e) with x = n / 2**e.  Isolation starts from an integer bound
-    and only halves widths, so any other x is a bug; the AssertionError
-    is raised, not asserted, so python -O keeps the check."""
-    den = x.denominator
-    if den & (den - 1):
-        raise AssertionError(f"{x} is not a dyadic point")
-    return x.numerator, den.bit_length() - 1
-
-
-def _sign_at(rev: tuple[int, ...], x: Fraction) -> int:
-    """Sign of f(x) at a dyadic x, rev the coefficients of f leading first."""
-    v = _value_at(rev, *_dyadic(x))
-    return (v > 0) - (v < 0)
-
-
 def _root_count(chain: list[IntPoly]) -> int:
     at_minus = _variations([_sign_at_infinity(g, positive=False) for g in chain])
     at_plus = _variations([_sign_at_infinity(g, positive=True) for g in chain])
@@ -150,62 +136,65 @@ def isolate_real_roots(
         raise ValueError("min_width must be positive")
     chain = sturm_chain(f)
     total = _root_count(chain)
-    if total == 0:
-        return []
-
     revs = [g.coeffs[::-1] for g in chain]
-    var_cache: dict[Fraction, int] = {}
+    bound = _root_bound(chain[0])
+    var_cache: dict[tuple[int, int], int] = {}
 
-    def var(x: Fraction) -> int:
-        if x not in var_cache:
-            var_cache[x] = _variations([_sign_at(rev, x) for rev in revs])
-        return var_cache[x]
+    def sign(L: int, j: int, rev: tuple[int, ...] = revs[0]) -> int:
+        v = _value_at(rev, bound * j, L)
+        return (v > 0) - (v < 0)
 
-    def sign(x: Fraction) -> int:
-        return _sign_at(revs[0], x)
+    def var(L: int, j: int) -> int:
+        # one key per point: the factors of 2 of j move into L
+        v = (j & -j).bit_length() - 1 if j else L
+        key = (L - v, j >> v)
+        if key not in var_cache:
+            var_cache[key] = _variations([sign(L, j, rev) for rev in revs])
+        return var_cache[key]
 
-    def sliver(mid: Fraction, w: Fraction) -> Interval:
-        """(mid - w/2**j, mid + w/2**j) for the least j at which it
-        isolates the root mid and is at most min_width wide.  Once it
-        isolates mid it does so for every larger j, so the width part
-        needs no sign checks."""
+    def sliver(L: int, j: int, c: int) -> tuple[int, int, int]:
+        """(j - c, j + c) at level L around the root (L, j), moved to
+        (L + 1, 2j) until it isolates the root, then halved to min_width.
+        Once it isolates the root it does so at every finer level, so the
+        halving needs no sign checks."""
         while (
-            sign(mid - w) == 0
-            or sign(mid + w) == 0
-            or var(mid - w) - var(mid + w) != 1
+            sign(L, j - c) == 0
+            or sign(L, j + c) == 0
+            or var(L, j - c) - var(L, j + c) != 1
         ):
-            w /= 2
-        w /= 2 ** _halvings(2 * w, min_width)
-        return Interval(mid - w, mid + w)
+            L, j = L + 1, 2 * j
+        i = _halvings(Fraction(bound * 2 * c, 1 << L), min_width)
+        return L + i, (j << i) - c, (j << i) + c
 
-    bound = Fraction(_root_bound(chain[0]))
-    found: list[Interval] = []
-    stack = [(-bound, bound)]
+    found: list[tuple[int, int, int]] = []
+    stack = [(0, -1, 1)]
     while stack:
-        lo, hi = stack.pop()
-        n = var(lo) - var(hi)
+        L, a, b = stack.pop()
+        n = var(L, a) - var(L, b)
         if n == 0:
             continue
         if n == 1:
-            found.append(_refine(revs[0], lo, hi, min_width, sliver))
+            m = _halvings(Fraction(bound * (b - a), 1 << L), min_width)
+            found.append(_refine(revs[0], bound, L, a, b, m, sliver))
             continue
-        mid = (lo + hi) / 2
-        if sign(mid) != 0:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+        if sign(L + 1, a + b) != 0:
+            stack.append((L + 1, 2 * a, a + b))
+            stack.append((L + 1, a + b, 2 * b))
             continue
-        # mid is itself a root: carve out a verified sliver around it
-        iv = sliver(mid, (hi - lo) / 4)
-        found.append(iv)
-        stack.append((lo, iv.lo))
-        stack.append((iv.hi, hi))
-    found.sort(key=lambda iv: iv.lo)
+        # the midpoint is itself a root: carve out a verified sliver around it
+        S, lo, hi = sliver(L + 2, 2 * (a + b), b - a)
+        found.append((S, lo, hi))
+        stack.append((S, a << (S - L), lo))
+        stack.append((S, hi, b << (S - L)))
     if len(found) != total:
         raise AssertionError(f"isolated {len(found)} roots, the Sturm count is {total}")
-    for iv in found:
-        if sign(iv.lo) * sign(iv.hi) >= 0:
+    for L, lo, hi in found:
+        if sign(L, lo) * sign(L, hi) >= 0:
             raise AssertionError("an isolating interval has no sign change")
-    return found
+    return sorted(
+        Interval(Fraction(bound * lo, 1 << L), Fraction(bound * hi, 1 << L))
+        for L, lo, hi in found
+    )
 
 
 def _value_at(rev: tuple[int, ...], x: int, sh: int) -> int:
@@ -218,47 +207,38 @@ def _value_at(rev: tuple[int, ...], x: int, sh: int) -> int:
 
 
 def _refine(
-    rev: tuple[int, ...],
-    lo: Fraction,
-    hi: Fraction,
-    min_width: Fraction,
-    sliver,
-) -> Interval:
-    """Shrink an interval holding exactly one simple root of f*, rev its
-    coefficients leading first.
+    rev: tuple[int, ...], B: int, L: int, a: int, b: int, m: int, sliver
+) -> tuple[int, int, int]:
+    """Shrink the interval (L, a, b) of the grid of (-B, B), which holds
+    exactly one simple root of f*, rev its coefficients leading first.
 
-    Level L of the dyadic grid of (lo, hi) has cells of width W / 2**L,
-    W = hi - lo.  The result is the level-m cell holding the root, m
-    the first level with W / 2**m <= min_width, which is where bisection
-    ends; a root on the grid gets bisection's sliver instead.  Quadratic
-    interval refinement (Abbott 2014) gets there in O(log m) steps: the
-    secant through the current cell's end values picks one of its 2**s
-    sub-cells, two exact signs at its ends certify it, and s doubles on
-    success and halves on failure (s = 1 is a bisection step).  lo and
-    hi are dyadic, so every grid point is an integer over a power of 2.
+    Level l of the dyadic grid of (a, b) has the points
+    (L + l, (a << l) + i (b - a)).  The result is the level-m cell
+    holding the root, m the first level no wider than min_width, which
+    is where bisection ends; a root on the grid gets bisection's sliver
+    instead.  Quadratic interval refinement (Abbott 2014) gets there in
+    O(log m) steps: the secant through the current cell's end values
+    picks one of its 2**s sub-cells, two exact signs at its ends certify
+    it, and s doubles on success and halves on failure (s = 1 is a
+    bisection step).
     """
-    m = _halvings(hi - lo, min_width)
-    if m == 0:
-        return Interval(lo, hi)
-    (a, ea), (b, eb) = _dyadic(lo), _dyadic(hi)
-    e = max(ea, eb)
-    x0 = a << (e - ea)
-    y = (b << (e - eb)) - x0
+    y = b - a
     d = len(rev) - 1
 
     def point(level: int, idx: int) -> int:
-        return (x0 << level) + idx * y
+        return (a << level) + idx * y
 
-    def grid_root(level: int, idx: int) -> Interval:
-        # the root is a point of the grid at level `at` = level - v2(idx);
-        # bisection meets it as the midpoint of a cell at level at - 1,
-        # and starts the sliver at that cell's width / 4
-        at = level - ((idx & -idx).bit_length() - 1)
-        mid = Fraction(point(level, idx), 1 << (e + level))
-        return sliver(mid, (hi - lo) / 2 ** (at + 1))
+    def value(level: int, idx: int) -> int:
+        return _value_at(rev, B * point(level, idx), L + level)
+
+    def grid_root(level: int, idx: int) -> tuple[int, int, int]:
+        # idx has v factors of 2: bisection meets the root as the midpoint of a
+        # cell at level `level` - v - 1 and slivers at a quarter of its width
+        v = (idx & -idx).bit_length() - 1
+        return sliver(L + level + 1, 2 * point(level, idx), y << v)
 
     level, k, s = 0, 0, 1  # the cell [k, k + 1] of the grid at `level`
-    fa, fb = _value_at(rev, x0, e), _value_at(rev, x0 + y, e)
+    fa, fb = value(0, 0), value(0, 1)
     while level < m:
         s = min(s, m - level)
         n = 1 << s
@@ -269,7 +249,7 @@ def _refine(
         if gap < 0:
             num, gap = -num, -gap
         j = min(max((2 * num + gap) // (2 * gap), 1), n - 1)
-        vj = _value_at(rev, point(fine, base + j), e + fine)
+        vj = value(fine, base + j)
         if vj == 0:
             return grid_root(fine, base + j)
         right = (vj > 0) == (fa > 0)  # the root lies right of point j
@@ -279,7 +259,7 @@ def _refine(
         elif i == 0:
             vi = fa << s * d
         else:
-            vi = _value_at(rev, point(fine, base + i), e + fine)
+            vi = value(fine, base + i)
             if vi == 0:
                 return grid_root(fine, base + i)
         if (vi > 0) != (vj > 0):
@@ -287,7 +267,4 @@ def _refine(
             fa, fb = (vj, vi) if right else (vi, vj)
         else:
             s = max(s // 2, 1)
-    return Interval(
-        Fraction(point(level, k), 1 << (e + level)),
-        Fraction(point(level, k + 1), 1 << (e + level)),
-    )
+    return L + level, point(level, k), point(level, k + 1)

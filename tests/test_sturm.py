@@ -300,23 +300,19 @@ def test_isolation_matches_bisection_oracle(linear, quadratic, width):
     assert isolate_real_roots(f, width) == bisection_isolate(f, width)
 
 
-def test_sign_checks_refuse_a_point_that_is_not_dyadic():
-    rev = IntPoly([-1, 3]).coeffs[::-1]
-    assert sturm._sign_at(rev, Fraction(1, 2)) == 1
-    assert sturm._sign_at(rev, Fraction(-5, 8)) == -1
-    with pytest.raises(AssertionError, match="1/3 is not a dyadic point"):
-        sturm._sign_at(rev, Fraction(1, 3))
-
-
 def test_refinement_grid_roots_match_bisection():
     # rational roots that refinement, not isolation, meets on the grid of
     # their isolating interval: 1/2 in (-2, 2), 35/4 in (-10, 10), -27/4
-    # next to a complex pair, -1/4 next to 12 and 28/5
+    # next to a complex pair, -1/4 next to 12 and 28/5; and at width 1,
+    # -9/4 and 3/4, met while refining the interval beside the sliver of 0
+    # in x(4x+9) and of 2 in (4x-3)(x-2)
     for linear, quadratic in (
         ([(1, 2)], []),
         ([(35, 4)], []),
         ([(-27, 4)], [(5, 3, 5)]),
         ([(-1, 4), (36, 3), (28, 5)], []),
+        ([(-9, 4), (0, 1)], []),
+        ([(3, 4), (2, 1)], []),
     ):
         f = build(linear, quadratic)
         for k in (0, 1, 5, 40, 200):
