@@ -35,13 +35,7 @@ _EXPORTS = {
         "exact_root_distribution",
         "product_polynomial",
     ),
-    "scanner": (
-        "ScanReport",
-        "RealRootCheck",
-        "scan",
-        "check_real_roots",
-        "check_real_roots_forms",
-    ),
+    "scanner": ("ScanReport", "RealRootCheck", "scan", "check_real_roots"),
     # InvariantViolation is defined with the input errors, without numpy
     "parse": ("InvariantViolation", "parse_poly", "parse_form"),
 }

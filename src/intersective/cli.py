@@ -37,7 +37,7 @@ from . import reports
 from .parse import (
     DEFAULT_SCAN_CAP,
     HARD_SCAN_CAP,
-    MIN_DENSITY_RANGE_END,
+    MIN_DENSITY_PRIMES,
     FormParseError,
     InvariantViolation,
     PolyParseError,
@@ -46,7 +46,12 @@ from .parse import (
     parse_poly,
     read_forms_file,
 )
-from .quadcover import QuadForm, decide_cover, exact_root_distribution
+from .quadcover import (
+    QuadForm,
+    decide_cover,
+    exact_root_distribution,
+    product_polynomial,
+)
 
 if TYPE_CHECKING:
     from .primes import PrimeRange
@@ -193,16 +198,16 @@ def _cmd_realroots(args: argparse.Namespace) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
-    from .scanner import check_real_roots, check_real_roots_forms, density_comparison
+    from .scanner import check_real_roots, density_comparison
 
     has_poly = args.poly is not None
     has_forms = bool(args.form) or bool(args.forms_file)
     if has_poly == has_forms:
         raise UsageError("check needs exactly one of --poly or --form/--forms-file")
     rng = _make_range(args)
-    comparison = None
+    forms = None
     if has_poly:
-        check = check_real_roots(_nonconstant_poly(args.poly), rng)
+        f = _nonconstant_poly(args.poly)
     else:
         forms = _collect_forms(args)
         if not any(q.a or q.b for q in forms):
@@ -210,9 +215,11 @@ def _cmd_check(args: argparse.Namespace) -> None:
                 f"the forms multiply to the constant {prod(q.c for q in forms)}; "
                 "check needs a form with a or b nonzero"
             )
-        check, report, dist = check_real_roots_forms(forms, rng)
-        if rng.hi >= MIN_DENSITY_RANGE_END:
-            comparison = density_comparison(dist, report)
+        f = product_polynomial(forms)
+    check, report, dist = check_real_roots(f, rng, forms)
+    comparison = None
+    if dist is not None and report.good_prime_count >= MIN_DENSITY_PRIMES:
+        comparison = density_comparison(dist, report)
     _emit(
         args,
         reports.real_root_check_json(check, comparison),

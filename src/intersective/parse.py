@@ -29,8 +29,8 @@ from .quadcover import QuadForm
 MAX_POLY_DEGREE = 10**6
 DEFAULT_SCAN_CAP = 10**6
 HARD_SCAN_CAP = 10**8
-# density comparisons need a scan reaching at least this far
-MIN_DENSITY_RANGE_END = 10**5
+# density comparisons need a scan of at least this many good primes
+MIN_DENSITY_PRIMES = 9000
 
 
 class PolyParseError(ValueError):
@@ -43,8 +43,8 @@ class FormParseError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An internal check failed at some prime: a cycle-type census (the
-    scan's or the kernel's, modular._cycle_types), or a root count of
-    `check --form` that no Frobenius class of the forms gives."""
+    scan's or the kernel's, modular._cycle_types), or a root count of an
+    exact `check` that no Frobenius class of f*'s factors gives."""
 
 
 class WorkerLost(RuntimeError):

@@ -15,6 +15,8 @@ and a quadratic factor of discriminant D two or none as (D | p) = 1 or
 -1, by a batched Euler criterion; only the cofactor of degree >= 3 goes
 to the Frobenius kernels of `modular` (_good_prime_counts).  Cycle types
 combine the same way and are checked on f* as a whole (_scan_block).
+The split is kept as ScanReport.factors, so check_real_roots reads f*'s
+factors from the scan.
 
 A scan of several blocks on several workers forks one worker process
 per worker: worker i of w runs blocks i, i + w, i + 2w, ... and pipes
@@ -35,16 +37,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .factor import SmallFactors, small_factors
-from .intpoly import IntPoly, discriminant, squarefree_part
+from .intpoly import ONE, IntPoly, discriminant, squarefree_part
 from .modular import _nonresidue, _residues, census_block, count_roots_block
 from .parse import HARD_SCAN_CAP, InvariantViolation, WorkerLost
 from .primes import PrimeRange, iter_prime_arrays
-from .quadcover import (
-    QuadForm,
-    RootDistribution,
-    exact_root_distribution,
-    product_polynomial,
-)
+from .quadcover import QuadForm, RootDistribution, exact_root_distribution
 
 BLOCK_SPAN = 1 << 18
 
@@ -60,17 +57,14 @@ class ScanReport(NamedTuple):
     cycle_type_histogram: dict[tuple[int, ...], int] | None
     empirical_density_with_root: Fraction | None
     least_prime_with: dict[int, int]  # root count -> least good prime with it
+    factors: SmallFactors  # small_factors(f*), which no report prints
 
     @property
     def good_prime_count(self) -> int:
         return sum(self.histogram.values())
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
-        return workers
+def resolve_workers() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
@@ -297,7 +291,6 @@ def scan(
     f: IntPoly,
     rng: PrimeRange,
     with_cycle_types: bool = False,
-    workers: int | None = None,
 ) -> ScanReport:
     """Histogram of distinct-root counts of f over the primes in rng.
 
@@ -321,7 +314,7 @@ def scan(
         blocks.append((max(rng.lo, start), min(rng.hi, start + BLOCK_SPAN - 1)))
         start += BLOCK_SPAN
 
-    nworkers = min(resolve_workers(workers), len(blocks))
+    nworkers = min(resolve_workers(), len(blocks))
 
     def run(lo: int, hi: int) -> tuple[Counter, Counter, list[int], dict]:
         return _scan_block(fstar, disc, split, lo, hi, with_cycle_types)
@@ -357,17 +350,18 @@ def scan(
             Fraction(good - hist[0], good) if good else None
         ),
         least_prime_with=dict(sorted(least.items())),
+        factors=split,
     )
 
 
 class RealRootCheck(NamedTuple):
     """Observed minimum root count mod p against the real-root count.
 
-    In exact mode (products of quadratic forms) the minimum over all
-    Frobenius classes is computed exactly and the real-root count must
-    reach it.  In empirical mode the scan minimum is only evidence: a
-    positive minimum over a finite range does not prove one for all
-    primes, so the verdict is labeled accordingly.
+    In exact mode (f* a product of known factors of degree <= 2) the
+    minimum over all Frobenius classes is computed exactly and the
+    real-root count must reach it.  In empirical mode the scan minimum is
+    only evidence: a positive minimum over a finite range does not prove
+    one for all primes, so the verdict is labeled accordingly.
     """
 
     min_roots_observed: int | None
@@ -377,50 +371,50 @@ class RealRootCheck(NamedTuple):
     mode: str
 
 
-def check_real_roots(f: IntPoly, rng: PrimeRange) -> RealRootCheck:
-    """Empirical check: if every scanned good prime sees a root, expect a real root."""
-    # imported here, as in check_real_roots_forms: a scan never loads sturm
+def check_real_roots(
+    f: IntPoly, rng: PrimeRange, forms: list[QuadForm] | None = None
+) -> tuple[RealRootCheck, ScanReport, RootDistribution | None]:
+    """The check of f over rng, its scan, and the exact distribution of
+    its root counts when f*'s factors are known.
+
+    They are known from forms, whose product is f, or else when the scan's
+    split of f* (ScanReport.factors) leaves the cofactor ONE: a linear
+    factor is the form (0, b, c), a quadratic one (a, b, c).  Then the
+    check is exact: the minimum root count over Frobenius classes is
+    exact, and f must have at least that many distinct real roots.  Every
+    good prime's Frobenius lies in one of the classes, so a root count of
+    the scan that no class gives raises InvariantViolation, naming the
+    count and the least prime of rng where it occurs.  Otherwise the
+    check is empirical: if every scanned good prime sees a root, expect a
+    real root.
+    """
+    # imported here: a scan never loads sturm
     from .sturm import count_real_roots
 
+    dist = None if forms is None else exact_root_distribution(forms)
     report = scan(f, rng)
+    split = report.factors
+    if dist is None and split.cofactor == ONE:
+        dist = exact_root_distribution(
+            [QuadForm(0, g.coeffs[1], g.coeffs[0]) for g in split.linear]
+            + [QuadForm(*reversed(g.coeffs)) for g in split.quadratic]
+        )
+    if dist is not None:
+        stray = [k for k in report.histogram if k not in dist.densities]
+        if stray:
+            raise InvariantViolation(
+                f"{f} has {stray[0]} roots mod p={report.least_prime_with[stray[0]]}, "
+                f"a count no Frobenius class of the forms gives "
+                f"(exact counts {sorted(dist.densities)})"
+            )
     real = count_real_roots(f)
     observed = report.min_roots_observed
-    if observed is None or observed == 0:
-        verdict = "consistent"
-    else:
-        verdict = "consistent" if real >= 1 else "inconsistent"
-    return RealRootCheck(observed, real, None, verdict, "empirical")
-
-
-def check_real_roots_forms(
-    forms: list[QuadForm], rng: PrimeRange
-) -> tuple[RealRootCheck, ScanReport, RootDistribution]:
-    """Exact check for products of quadratic forms.
-
-    The minimum root count over Frobenius classes is exact, and the
-    product polynomial must have at least that many distinct real roots.
-    Every good prime's Frobenius lies in one of the classes, so a root
-    count of the scan that no class gives raises InvariantViolation,
-    naming the count and the least prime of rng where it occurs.
-    """
-    from .sturm import count_real_roots
-
-    dist = exact_root_distribution(forms)
-    f = product_polynomial(forms)
-    report = scan(f, rng)
-    stray = [k for k in report.histogram if k not in dist.densities]
-    if stray:
-        raise InvariantViolation(
-            f"{f} has {stray[0]} roots mod p={report.least_prime_with[stray[0]]}, "
-            f"a count no Frobenius class of the forms gives "
-            f"(exact counts {sorted(dist.densities)})"
-        )
-    real = count_real_roots(f)
-    verdict = "consistent" if real >= dist.min_roots else "inconsistent"
-    check = RealRootCheck(
-        report.min_roots_observed, real, dist.min_roots, verdict, "exact"
-    )
-    return check, report, dist
+    exact = None if dist is None else dist.min_roots
+    # empirically, a root at every scanned good prime calls for a real root
+    need = min(observed or 0, 1) if exact is None else exact
+    verdict = "consistent" if real >= need else "inconsistent"
+    mode = "empirical" if exact is None else "exact"
+    return RealRootCheck(observed, real, exact, verdict, mode), report, dist
 
 
 class DensityRow(NamedTuple):

@@ -29,7 +29,12 @@ from intersective.quadcover import (
     product_polynomial,
 )
 from intersective.reports import dumps, scan_report_json
-from intersective.scanner import check_real_roots_forms, density_comparison, scan
+from intersective.scanner import (
+    THREADS_ENV_VAR,
+    check_real_roots,
+    density_comparison,
+    scan,
+)
 from intersective.sturm import count_real_roots
 from oracles import (
     count_roots_mod_p,
@@ -130,13 +135,17 @@ def test_criterion_4_positive_definite_sets_fail_to_cover():
 def test_criterion_5_densities_match_chebotarev_predictions():
     with _Gate("criterion 5: scanned root-count frequencies below 10^6 match "
                "the exact distributions within 0.01") as gate:
-        _, report, dist = check_real_roots_forms(TRIPLE_FORMS, PrimeRange(2, 10**6))
+        _, report, dist = check_real_roots(
+            product_polynomial(TRIPLE_FORMS), PrimeRange(2, 10**6), TRIPLE_FORMS
+        )
         comparison = density_comparison(dist, report)
         assert dist.densities == {2: Fraction(3, 4), 6: Fraction(1, 4)}
         assert comparison.max_abs_deviation < Fraction(1, 100)
         first = gate.elapsed
         assert first < 30.0
-        _, report, dist = check_real_roots_forms(PAIR_FORMS, PrimeRange(2, 10**6))
+        _, report, dist = check_real_roots(
+            product_polynomial(PAIR_FORMS), PrimeRange(2, 10**6), PAIR_FORMS
+        )
         comparison = density_comparison(dist, report)
         assert dist.densities == {
             0: Fraction(1, 4),
@@ -209,18 +218,16 @@ def test_criterion_7_cycle_types_refine_root_counts():
         gate.ok = True
 
 
-def test_criterion_8_worker_count_never_changes_output():
+def test_criterion_8_worker_count_never_changes_output(monkeypatch):
     with _Gate("criterion 8: scans with 1, 2, and 8 workers serialize to "
                "byte-identical reports") as gate:
-        outputs = [
-            dumps(scan_report_json(scan(TRIPLE_POLY, PrimeRange(3, 10**5), workers=w)))
-            for w in (1, 2, 8)
-        ]
+        def serialized(rng, workers):
+            monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
+            return dumps(scan_report_json(scan(TRIPLE_POLY, rng)))
+
+        outputs = [serialized(PrimeRange(3, 10**5), w) for w in (1, 2, 8)]
         assert outputs[0] == outputs[1] == outputs[2]
         # also across a range wide enough to split into several blocks
-        wide = [
-            dumps(scan_report_json(scan(TRIPLE_POLY, PrimeRange(2, 10**6), workers=w)))
-            for w in (1, 2, 8)
-        ]
+        wide = [serialized(PrimeRange(2, 10**6), w) for w in (1, 2, 8)]
         assert wide[0] == wide[1] == wide[2]
         gate.ok = True

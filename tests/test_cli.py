@@ -17,6 +17,7 @@ import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
 from intersective.cli import build_parser, main
 from intersective.parse import InvariantViolation
+from intersective.quadcover import RootDistribution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -187,12 +188,42 @@ def test_census_json():
 
 
 def test_check_poly_empirical():
-    obj = run_json("check", "--poly", "x^2-2", "--to", "1000")
+    # x^3 - 2 has no factor of degree <= 2: its cubic cofactor keeps it empirical
+    obj = run_json("check", "--poly", "x^3-2", "--to", "1000")
     assert obj["mode"] == "empirical"
     assert obj["exact_min_roots"] is None
+    assert obj["min_roots_observed"] == 0
+    assert obj["real_root_count"] == 1
+    assert obj["verdict"] == "consistent"
+    assert obj["density_table"] is None
+
+
+def test_check_poly_of_an_irreducible_quadratic_is_exact():
+    obj = run_json("check", "--poly", "x^2-2", "--to", "1000")
+    assert obj["mode"] == "exact"
+    assert obj["exact_min_roots"] == 0
     assert obj["real_root_count"] == 2
     assert obj["verdict"] == "consistent"
     assert obj["density_table"] is None
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_poly_of_a_product_of_forms_prints_the_forms_document(fmt):
+    poly, _ = run_cli("check", "--poly", "(x^2+1)*(x^2+2)*(x^2-2)", "--to", "100000",
+                      "--format", fmt)
+    forms, _ = run_cli("check", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2",
+                       "--to", "100000", "--format", fmt)
+    assert poly == forms
+    assert "0.751408" in poly  # the density table: 2 roots at 75.14% of primes
+
+
+def test_density_table_needs_enough_good_primes():
+    # one good prime, 100003, in the range: too few for a density table
+    obj = run_json("check", "--form", "1,0,1", "--from", "100001", "--to", "100003")
+    assert obj["mode"] == "exact"
+    assert obj["min_roots_observed"] == 0
+    assert obj["density_table"] is None
+    assert obj["max_abs_deviation"] is None
 
 
 def test_check_forms_small_range():
@@ -407,6 +438,18 @@ def test_check_with_a_root_count_of_no_class_exits_3(monkeypatch):
     assert out == ""
     assert err == ("internal check failed: x^6+x^4-4x^2-4 has 0 roots mod p=5, a count "
                    "no Frobenius class of the forms gives (exact counts [2, 6])\n")
+
+
+def test_check_poly_with_a_root_count_of_no_class_exits_3(monkeypatch):
+    # a distribution made to give 6 roots on every class: the scan's
+    # least prime with 2 roots is 5
+    monkeypatch.setattr(scanner_mod, "exact_root_distribution",
+                        lambda forms: RootDistribution({6: Fraction(1)}, 6, 0))
+    out, err = run_cli("check", "--poly", "(x^2+1)*(x^2+2)*(x^2-2)", "--to", "1000",
+                       expect=3)
+    assert out == ""
+    assert err == ("internal check failed: x^6+x^4-4x^2-4 has 2 roots mod p=5, a count "
+                   "no Frobenius class of the forms gives (exact counts [6])\n")
 
 
 def test_a_stray_count_first_seen_in_a_later_block_names_its_least_prime(monkeypatch):

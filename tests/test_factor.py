@@ -156,10 +156,11 @@ def test_factored_scans_equal_the_unfactored_kernels(parts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scanner_mod, "BLOCK_SPAN", 1024)
         for workers in (1, 2):
-            report = scan(f, PrimeRange(lo, hi), workers=workers)
+            mp.setenv(scanner_mod.THREADS_ENV_VAR, str(workers))
+            report = scan(f, PrimeRange(lo, hi))
             assert (report.histogram, report.excluded_primes) == (hist, excluded)
             assert report.cycle_type_histogram is None
-            report = scan(f, PrimeRange(lo, hi), with_cycle_types=True, workers=workers)
+            report = scan(f, PrimeRange(lo, hi), with_cycle_types=True)
             assert report.histogram == hist
             assert report.cycle_type_histogram == types
             assert report.excluded_primes == excluded

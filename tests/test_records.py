@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from intersective.intpoly import IntPoly
+from intersective.factor import SmallFactors
+from intersective.intpoly import ONE, IntPoly
 from intersective.primes import PrimeRange
 from intersective.quadcover import (
     Covers,
@@ -40,9 +41,10 @@ RECORDS = [
     (ScanReport,
      ("polynomial", "range", "excluded_primes", "histogram",
       "min_roots_observed", "cycle_type_histogram",
-      "empirical_density_with_root", "least_prime_with"),
+      "empirical_density_with_root", "least_prime_with", "factors"),
      (IntPoly((1, 0, 1)), PrimeRange(2, 100), (2,), {0: 13, 2: 11}, 0,
-      None, Fraction(11, 24), {0: 3, 2: 5})),
+      None, Fraction(11, 24), {0: 3, 2: 5},
+      SmallFactors((), (IntPoly((1, 0, 1)),), ONE))),
     (RealRootCheck,
      ("min_roots_observed", "real_root_count", "exact_min_roots", "verdict",
       "mode"),

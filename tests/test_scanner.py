@@ -7,17 +7,19 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
-from intersective.intpoly import IntPoly, discriminant, multiply
+from intersective.intpoly import ONE, IntPoly, discriminant, multiply
 from intersective.primes import PrimeRange, primes_in
-from intersective.quadcover import QuadForm
+from intersective.quadcover import QuadForm, product_polynomial
 from intersective.scanner import (
     HARD_SCAN_CAP,
+    THREADS_ENV_VAR,
     InvariantViolation,
     check_real_roots,
-    check_real_roots_forms,
     density_comparison,
     resolve_workers,
     scan,
@@ -26,6 +28,12 @@ from oracles import count_roots_mod_p, cycle_type_mod_p
 
 TRIPLE_FORMS = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
 TRIPLE_POLY = IntPoly((-4, 0, -4, 0, 1, 0, 1))
+
+
+def scan_on(monkeypatch, workers, *args, **kwargs):
+    """scan(*args, **kwargs) with the worker count set to workers."""
+    monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
+    return scan(*args, **kwargs)
 
 
 def test_scan_x2_plus_1_to_100():
@@ -110,7 +118,7 @@ def test_bogus_census_breaking_stickelberger(monkeypatch):
 
 def test_scan_of_a_25_digit_coefficient_matches_oracles():
     f = IntPoly((10**24 + 7, -3, 0, 1))
-    report = scan(f, PrimeRange(2, 5000), with_cycle_types=True, workers=1)
+    report = scan(f, PrimeRange(2, 5000), with_cycle_types=True)
     bad = 2 * f.lc * discriminant(f)
     good = [p for p in primes_in(2, 5000) if bad % p]
     assert report.excluded_primes == tuple(p for p in primes_in(2, 5000) if bad % p == 0)
@@ -136,11 +144,11 @@ def test_least_prime_with_each_count_matches_oracle(monkeypatch, f):
             least.setdefault(count_roots_mod_p(f, p), p)
     assert len(least) >= 3
     for workers in (1, 2, 8):
-        report = scan(f, PrimeRange(2, 5000), workers=workers)
+        report = scan_on(monkeypatch, workers, f, PrimeRange(2, 5000))
         assert report.least_prime_with == dict(sorted(least.items()))
 
 
-def test_reports_identical_across_worker_counts():
+def test_reports_identical_across_worker_counts(monkeypatch):
     rng = PrimeRange(2, 600_000)  # spans several blocks
     # x^10 - x - 1 is irreducible (Selmer), so its roots come from the
     # kernel, and at degree 10 the primes of a block pass through more
@@ -149,11 +157,12 @@ def test_reports_identical_across_worker_counts():
     block = sum(1 for _ in primes_in(2, scanner_mod.BLOCK_SPAN))
     assert block > modular_mod._CHUNK_ENTRIES // tenth.degree
     for f in (IntPoly((1, 0, 1)), tenth):
-        reports = [scan(f, rng, workers=w) for w in (1, 2, 8)]
+        reports = [scan_on(monkeypatch, w, f, rng) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
     # a census: its cycle-type Counter, keyed by tuples, crosses the pipe
     quintic = IntPoly((-1, -1, 0, 0, 0, 1))
-    reports = [scan(quintic, rng, with_cycle_types=True, workers=w) for w in (1, 2, 8)]
+    reports = [scan_on(monkeypatch, w, quintic, rng, with_cycle_types=True)
+               for w in (1, 2, 8)]
     assert reports[0] == reports[1] == reports[2]
     assert sum(reports[0].cycle_type_histogram.values()) == reports[0].good_prime_count
 
@@ -200,13 +209,14 @@ def fail_in_middle_block(monkeypatch, action):
 def test_multi_block_scans_fork_one_child_per_worker(monkeypatch):
     forks = count_forks(monkeypatch)
     f = IntPoly((1, 0, 1))
-    ref = scan(f, SEVERAL_BLOCKS, workers=1)
+    ref = scan_on(monkeypatch, 1, f, SEVERAL_BLOCKS)
     assert forks == []
-    assert scan(f, PrimeRange(2, 1000), workers=2) == scan(f, PrimeRange(2, 1000), workers=1)
+    one_block = PrimeRange(2, 1000)
+    assert scan_on(monkeypatch, 2, f, one_block) == scan_on(monkeypatch, 1, f, one_block)
     assert forks == []  # one block
-    assert scan(f, SEVERAL_BLOCKS, workers=2) == ref
+    assert scan_on(monkeypatch, 2, f, SEVERAL_BLOCKS) == ref
     assert len(forks) == 2
-    assert scan(f, SEVERAL_BLOCKS, workers=8) == ref
+    assert scan_on(monkeypatch, 8, f, SEVERAL_BLOCKS) == ref
     assert len(forks) == 2 + 3  # never more children than blocks
     assert_no_child_left()
 
@@ -214,18 +224,18 @@ def test_multi_block_scans_fork_one_child_per_worker(monkeypatch):
 def test_blocks_run_in_process_beside_other_threads_or_without_fork(monkeypatch):
     forks = count_forks(monkeypatch)
     f = IntPoly((1, 0, 1))
-    ref = scan(f, SEVERAL_BLOCKS, workers=1)
+    ref = scan_on(monkeypatch, 1, f, SEVERAL_BLOCKS)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert scan(f, SEVERAL_BLOCKS, workers=2) == ref
+        assert scan_on(monkeypatch, 2, f, SEVERAL_BLOCKS) == ref
     finally:
         stop.set()
         thread.join()
     assert forks == []
     monkeypatch.delattr(os, "fork")
-    assert scan(f, SEVERAL_BLOCKS, workers=2) == ref
+    assert scan_on(monkeypatch, 2, f, SEVERAL_BLOCKS) == ref
 
 
 def test_a_worker_exception_reaches_the_caller(monkeypatch):
@@ -242,7 +252,7 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     forks = count_forks(monkeypatch)
     for workers in (1, 2, 8):
         with pytest.raises(InvariantViolation, match="^no roots counted from p=262147$"):
-            scan(IRREDUCIBLE_CUBIC, SEVERAL_BLOCKS, workers=workers)
+            scan_on(monkeypatch, workers, IRREDUCIBLE_CUBIC, SEVERAL_BLOCKS)
     assert len(forks) == 2 + 3
     assert_no_child_left()
 
@@ -260,7 +270,7 @@ def test_a_worker_that_dies_is_named_with_its_blocks(monkeypatch, death, how):
 
     fail_in_middle_block(monkeypatch, die)
     with pytest.raises(RuntimeError) as info:
-        scan(IRREDUCIBLE_CUBIC, SEVERAL_BLOCKS, workers=2)
+        scan_on(monkeypatch, 2, IRREDUCIBLE_CUBIC, SEVERAL_BLOCKS)
     assert str(info.value) == (
         "scan worker 1 of 2 (blocks [262144, 524287]) exited without a result: " + how)
     assert_no_child_left()
@@ -272,7 +282,7 @@ def test_an_orphaned_worker_stops_before_its_next_block(monkeypatch):
     monkeypatch.setattr(os, "getppid", lambda: 1)
     with pytest.raises(RuntimeError, match=r"^scan worker 0 of 2 \(blocks \[2, 262143\], "
                        r"\[524288, 600000\]\) exited without a result: exit status 1$"):
-        scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
+        scan_on(monkeypatch, 2, IntPoly((1, 0, 1)), SEVERAL_BLOCKS)
     assert_no_child_left()
 
 
@@ -285,7 +295,7 @@ def test_an_interrupted_parent_reaps_every_child(monkeypatch):
 
     monkeypatch.setattr(scanner_mod.pickle, "loads", interrupt)
     with pytest.raises(KeyboardInterrupt):
-        scan(IntPoly((1, 0, 1)), SEVERAL_BLOCKS, workers=2)
+        scan_on(monkeypatch, 2, IntPoly((1, 0, 1)), SEVERAL_BLOCKS)
     assert_no_child_left()
 
 
@@ -309,7 +319,7 @@ def test_a_product_whose_cofactor_fits_int64_is_counted_near_10_8():
 def test_bad_primes_of_a_huge_discriminant():
     # 2 * disc = -8 * 3**45 * 5 * 7 is far beyond int64
     c = 3**45 * 5 * 7
-    report = scan(IntPoly((c, 0, 1)), PrimeRange(2, 3000), workers=1)
+    report = scan(IntPoly((c, 0, 1)), PrimeRange(2, 3000))
     assert report.excluded_primes == (2, 3, 5, 7)
     good = list(primes_in(11, 3000))
     assert report.good_prime_count == len(good)
@@ -328,9 +338,6 @@ def test_empty_range_report():
 
 
 def test_resolve_workers(monkeypatch):
-    assert resolve_workers(3) == 3
-    with pytest.raises(ValueError):
-        resolve_workers(0)
     monkeypatch.setenv("INTERSECTIVE_THREADS", "5")
     assert resolve_workers() == 5
     monkeypatch.setenv("INTERSECTIVE_THREADS", "0")
@@ -360,21 +367,28 @@ def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
 
 
 def test_check_real_roots_empirical():
-    check = check_real_roots(IntPoly((-2, 0, 1)), PrimeRange(2, 1000))
+    # x^3 - 2 has no factor of degree <= 2: its cofactor keeps the check empirical
+    cubic = IntPoly((-2, 0, 0, 1))
+    check, report, dist = check_real_roots(cubic, PrimeRange(2, 1000))
+    assert report.factors.cofactor == cubic
+    assert dist is None
     assert check.mode == "empirical"
     assert check.exact_min_roots is None
-    assert check.real_root_count == 2
+    assert check.real_root_count == 1
     assert check.min_roots_observed == 0
     assert check.verdict == "consistent"
-    # a tiny sample can show a positive minimum without a real root
-    check = check_real_roots(IntPoly((1, 0, 1)), PrimeRange(5, 6))
-    assert check.min_roots_observed == 2
+    # a tiny sample can show a positive minimum without a real root:
+    # x^4 + 1, irreducible, has 4 roots mod 17
+    check, _, _ = check_real_roots(IntPoly((1, 0, 0, 0, 1)), PrimeRange(17, 17))
+    assert check.mode == "empirical"
+    assert check.min_roots_observed == 4
     assert check.real_root_count == 0
     assert check.verdict == "inconsistent"
 
 
 def test_check_real_roots_forms_exact():
-    check, report, dist = check_real_roots_forms(TRIPLE_FORMS, PrimeRange(2, 2000))
+    rng = PrimeRange(2, 2000)
+    check, report, dist = check_real_roots(TRIPLE_POLY, rng, TRIPLE_FORMS)
     assert check.mode == "exact"
     assert check.exact_min_roots == 2
     assert check.real_root_count == 2
@@ -382,14 +396,45 @@ def test_check_real_roots_forms_exact():
     assert check.verdict == "consistent"
     assert report.min_roots_observed == 2
     assert dist.min_roots == 2
-    check, _, dist = check_real_roots_forms([QuadForm(1, 0, 1)], PrimeRange(2, 2000))
+    # the same polynomial without its forms: the scan splits it completely
+    assert check_real_roots(TRIPLE_POLY, rng) == (check, report, dist)
+    check, _, dist = check_real_roots(IntPoly((1, 0, 1)), rng, [QuadForm(1, 0, 1)])
     assert dist.min_roots == 0
     assert check.real_root_count == 0
     assert check.verdict == "consistent"
+    # exact, x^2 + 1 needs no real root, however many roots a tiny sample shows
+    check, _, _ = check_real_roots(IntPoly((1, 0, 1)), PrimeRange(5, 6))
+    assert check == (2, 0, 0, "consistent", "exact")
+
+
+LINEAR_FORMS = st.builds(
+    lambda b, c: QuadForm(0, b, c), st.integers(-6, 6).filter(bool), st.integers(-30, 30)
+)
+QUADRATIC_FORMS = st.builds(
+    QuadForm, st.integers(1, 3), st.integers(-6, 6), st.integers(-30, 30)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@example(forms=TRIPLE_FORMS)
+@given(forms=st.lists(st.one_of(LINEAR_FORMS, QUADRATIC_FORMS), min_size=1, max_size=6))
+def test_check_of_a_complete_split_equals_the_check_of_its_forms(forms):
+    f = product_polynomial(forms)
+    rng = PrimeRange(2, 3000)
+    check, report, dist = check_real_roots(f, rng)
+    if report.factors.cofactor != ONE:
+        assert (check.mode, check.exact_min_roots, dist) == ("empirical", None, None)
+        return
+    expected, expected_report, expected_dist = check_real_roots(f, rng, forms)
+    assert check.mode == "exact"
+    assert check == expected
+    assert density_comparison(dist, report) == density_comparison(
+        expected_dist, expected_report
+    )
 
 
 def test_compare_densities_triple():
-    _, report, dist = check_real_roots_forms(TRIPLE_FORMS, PrimeRange(2, 10**5))
+    _, report, dist = check_real_roots(TRIPLE_POLY, PrimeRange(2, 10**5), TRIPLE_FORMS)
     comparison = density_comparison(dist, report)
     assert dist.densities == {2: Fraction(3, 4), 6: Fraction(1, 4)}
     by_count = {row.root_count: row for row in comparison.rows}

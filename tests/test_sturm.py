@@ -15,8 +15,8 @@ from intersective.intpoly import (
     squarefree_part,
 )
 from intersective.primes import PrimeRange
-from intersective.quadcover import QuadForm
-from intersective.scanner import check_real_roots, check_real_roots_forms
+from intersective.quadcover import QuadForm, product_polynomial
+from intersective.scanner import check_real_roots
 from intersective.sturm import (
     DEFAULT_MIN_WIDTH,
     Interval,
@@ -395,7 +395,8 @@ def test_check_runs_one_remainder_sequence_per_polynomial(monkeypatch):
     assert 0 < calls <= f.degree - 1, calls
 
     triple = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
-    calls = prem_calls(monkeypatch, lambda: check_real_roots_forms(triple, primes))
+    product = product_polynomial(triple)
+    calls = prem_calls(monkeypatch, lambda: check_real_roots(product, primes, triple))
     assert 0 < calls <= 5, calls
 
     g = dense_poly(rng, 8)
