@@ -31,8 +31,12 @@ census_block share one chunk loop, _chunks: it checks the whole block
 once, then takes its primes one lane chunk at a time through every
 stage (coefficient reduction, monic g, powering, for a census the
 Berlekamp matrix, and the gcd), and the callers write each chunk's
-counts and types straight into the block's output.  So no
-array of deg f times the block's primes exists, and a scan worker's
+counts and types straight into the block's output.  One rule,
+_chunk_lanes, sizes the chunks: (_CHUNK_ENTRIES >> 2) // d lanes for a
+root count, _CHUNK_ENTRIES // d**2 for a census that builds a Berlekamp
+matrix.  A scan's census takes its primes in slices of about as many
+primes as a root-count chunk of deg f* has lanes (scanner._scan_block),
+so no array of deg f times a block's primes exists, and a scan worker's
 working set is a small multiple of _CHUNK_ENTRIES entries whatever the
 block size.  Outside the kernels, the Euler criterion holds four arrays
 of its primes' size, since _nonresidue squares its base and shifts its
@@ -68,13 +72,15 @@ from .primes import iter_prime_arrays
 # arithmetic stays exact while deg * p**2 < 2**63.
 _INT64_LIMIT = 1 << 63
 
-# Lanes per chunk times the entries per lane: d per coefficient row in a
-# root count, d**2 per Berlekamp matrix in a census of degree d >= 4.  A
-# chunk's arrays hold a small multiple of this, whatever the number of
-# primes: the powering keeps about 5d rows of lanes live, the gcd kernel
-# three arrays of d + 1 rows beside g and h, and a census its Berlekamp
-# matrix, then the stack of H_k - x (about d**2 / 2 per lane) in the gcd.
-# A root count of degree 10 peaks near 2.9 MiB (tracemalloc) in the gcd.
+# The entries of a chunk (_chunk_lanes): lanes times d**2, one Berlekamp
+# matrix per lane, in a census of degree d >= 4, and lanes times 4d in a
+# root count.  A chunk's arrays hold a small multiple of this, whatever
+# the number of primes: the powering keeps about 5d + 7 rows of lanes
+# live, the gcd kernel three arrays of d + 1 rows beside g and h, and a
+# census its Berlekamp matrix, then the stack of H_k - x (about d**2 / 2
+# per lane) in the gcd.  Beside its output, a kernel peaks (tracemalloc)
+# near 0.8-1.0 MiB in a root count of degree 3 or 10, and 1.3-1.5 MiB in
+# a census of degree 5 to 12.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -156,7 +162,7 @@ def count_roots_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     (_frobenius), so it is exact for any g, squarefree or not: the
     distinct-degree kernel (_distinct_degrees) with K = 1, which builds
     no Berlekamp matrix.  The primes pass through in chunks of
-    _CHUNK_ENTRIES // d lanes.
+    _chunk_lanes(d, 1) = (_CHUNK_ENTRIES >> 2) // d lanes.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     chunks = _chunks(f, primes, 1)
@@ -176,9 +182,9 @@ def census_block(f: IntPoly, primes: np.ndarray) -> np.ndarray:
     D_1..D_(d/2) come from one gcd call per chunk (_distinct_degrees,
     the kernel of count_roots_block with K = d // 2), and a divisor
     sieve yields the counts (see _cycle_types).  The primes pass
-    through in chunks of _CHUNK_ENTRIES // d**2 lanes, the size of a
-    Berlekamp matrix, or of _CHUNK_ENTRIES // d for d <= 3, which needs
-    none.
+    through in chunks of _chunk_lanes(d, d // 2) lanes: _CHUNK_ENTRIES
+    // d**2, the size of a Berlekamp matrix, or for d <= 3, which needs
+    none, the root count's (_CHUNK_ENTRIES >> 2) // d.
     Raises ValueError when d >= 2 and d * pmax**2 >= 2**63.
     """
     d = f.degree
@@ -198,8 +204,7 @@ def _chunks(
     Raises ValueError for the zero polynomial, then, before any chunk is
     powered, naming the largest prime when d * pmax**2 >= 2**63, and else
     naming the first prime that divides lc(f).  A chunk holds
-    _CHUNK_ENTRIES // d**2 lanes, the size of a Berlekamp matrix, when
-    K > 1, and _CHUNK_ENTRIES // d lanes when K = 1.
+    _chunk_lanes(d, K) lanes.
     """
     if f.is_zero:
         raise ValueError("polynomial is identically zero")
@@ -220,9 +225,17 @@ def _chunks(
     bad = np.flatnonzero(_residues(f.lc, p) == 0)
     if bad.size:
         raise ValueError(f"p={int(p[bad[0]])} divides the leading coefficient")
-    step = max(1, _CHUNK_ENTRIES // (d * d if K > 1 else d))
+    step = _chunk_lanes(d, K)
     spans = (slice(lo, lo + step) for lo in range(0, p.size, step))
     return ((s, _distinct_degrees(p[s], *_frobenius(f, p[s], K))) for s in spans)
+
+
+def _chunk_lanes(d: int, K: int) -> int:
+    """Lanes per chunk of the distinct-degree kernel at degree d >= 1 with
+    K counts: (_CHUNK_ENTRIES >> 2) // d for a root count (K = 1), whose
+    powering keeps about 5d + 7 rows of lanes live, and _CHUNK_ENTRIES
+    // d**2 when K > 1, one Berlekamp matrix per lane; at least one."""
+    return max(1, (_CHUNK_ENTRIES >> 2) // d if K == 1 else _CHUNK_ENTRIES // (d * d))
 
 
 def _frobenius(f: IntPoly, p: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,7 +438,7 @@ def _distinct_degrees(p: np.ndarray, G: np.ndarray, stack: np.ndarray) -> np.nda
     j for D_(j // lanes + 1), in a single _gcd_degrees call.  The
     Berlekamp matrix holds d**2 entries per lane and the stack about
     d**2 / 2, so census_block passes chunks of _CHUNK_ENTRIES // d**2
-    lanes; K = 1, the root count, builds no matrix.
+    lanes (_chunk_lanes); K = 1, the root count, builds no matrix.
     """
     d, K, n = stack.shape
     if K > 1:

@@ -18,6 +18,14 @@ combine the same way and are checked on f* as a whole (_scan_block).
 The split is kept as ScanReport.factors, so check_real_roots reads f*'s
 factors from the scan.
 
+A census takes each sieve array in slices of about as many primes as a
+root-count chunk of deg f* has lanes, rounded down to whole kernel
+chunks of the cofactor (_census_slice), and runs everything per slice:
+the bad-prime filter, the Euler criteria, census_block, the checks and
+the tallies.  So no array of deg f* entries per prime spans more than a
+slice.  Root counts keep whole sieve arrays: outside the kernels their
+arrays hold one entry per prime.
+
 A scan of several blocks on several workers forks one worker process
 per worker: worker i of w runs blocks i, i + w, i + 2w, ... and pipes
 its partial results back.  Where os.fork is missing, or the calling
@@ -38,7 +46,13 @@ import numpy as np
 
 from .factor import SmallFactors, small_factors
 from .intpoly import ONE, IntPoly, discriminant, squarefree_part
-from .modular import _nonresidue, _residues, census_block, count_roots_block
+from .modular import (
+    _chunk_lanes,
+    _nonresidue,
+    _residues,
+    census_block,
+    count_roots_block,
+)
 from .parse import HARD_SCAN_CAP, InvariantViolation, WorkerLost
 from .primes import PrimeRange, iter_prime_arrays
 from .quadcover import QuadForm, RootDistribution, exact_root_distribution
@@ -108,45 +122,71 @@ def _scan_block(
     excluded: list[int] = []
     least: dict[int, int] = {}
     degree = fstar.degree
-    for parr in iter_prime_arrays(lo, hi):
-        good_mask = _residues(bad, parr) != 0
-        if not good_mask.all():
-            excluded.extend(parr[~good_mask].tolist())
-            parr = parr[good_mask]
-        if parr.size == 0:
-            continue
-        counts, types = _good_prime_counts(split, degree, parr, with_cycle_types)
-        if types is not None:
-            wrong = (types @ np.arange(1, degree + 1) != degree) | (types < 0).any(axis=1)
-            if wrong.any():
-                i = int(np.flatnonzero(wrong)[0])
-                raise InvariantViolation(
-                    f"cycle type {_parts(types[i].tolist())} of {fstar} at "
-                    f"p={int(parr[i])} fits no factorization of degree {degree}"
-                )
-            # (disc | p) = 1 exactly when d - r is even; p does not divide disc
-            square = ~_nonresidue(disc, parr)
-            odd = (degree - types.sum(axis=1)) % 2 == 1
-            wrong = square == odd
-            if wrong.any():
-                i = int(np.flatnonzero(wrong)[0])
-                raise InvariantViolation(
-                    f"cycle type {_parts(types[i].tolist())} of {fstar} at "
-                    f"p={int(parr[i])} breaks Stickelberger's parity: "
-                    f"(disc | p) = {1 if square[i] else -1}"
-                )
-            # one void item per row, so np.unique counts whole rows
-            rows = types.view(np.dtype((np.void, types.itemsize * degree)))
-            distinct, freq = np.unique(rows.ravel(), return_counts=True)
-            decoded = distinct.view(np.int64).reshape(-1, degree).tolist()
-            for row, v in zip(decoded, freq.tolist()):
-                cyc[_parts(row)] += v
-        tally = np.bincount(counts, minlength=degree + 1)
-        for k in np.flatnonzero(tally).tolist():
-            hist[k] += int(tally[k])
-            if k not in least:  # the primes ascend: the first is the least
-                least[k] = int(parr[np.argmax(counts == k)])
+    step = _census_slice(split.cofactor, degree) if with_cycle_types else 0
+    for arr in iter_prime_arrays(lo, hi):
+        n = step or arr.size
+        for i in range(0, arr.size, n):
+            parr = arr[i : i + n]
+            good_mask = _residues(bad, parr) != 0
+            if not good_mask.all():
+                excluded.extend(parr[~good_mask].tolist())
+                parr = parr[good_mask]
+            if parr.size == 0:
+                continue
+            counts, types = _good_prime_counts(split, degree, parr, with_cycle_types)
+            if types is not None:
+                _check_census(fstar, disc, parr, types)
+                # one void item per row, so np.unique counts whole rows
+                rows = types.view(np.dtype((np.void, types.itemsize * degree)))
+                distinct, freq = np.unique(rows.ravel(), return_counts=True)
+                decoded = distinct.view(np.int64).reshape(-1, degree).tolist()
+                for row, v in zip(decoded, freq.tolist()):
+                    cyc[_parts(row)] += v
+            tally = np.bincount(counts, minlength=degree + 1)
+            for k in np.flatnonzero(tally).tolist():
+                hist[k] += int(tally[k])
+                if k not in least:  # the primes ascend: the first is the least
+                    least[k] = int(parr[np.argmax(counts == k)])
     return hist, cyc, excluded, least
+
+
+def _census_slice(cofactor: IntPoly, degree: int) -> int:
+    """Primes per slice of a census of f* of the given degree: as many as
+    a root-count chunk of that degree has lanes, rounded down to whole
+    kernel chunks of the cofactor when that leaves at least one, since a
+    partial chunk in every slice costs a kernel pass of its own."""
+    step = _chunk_lanes(degree, 1)
+    c = cofactor.degree
+    if c < 2:
+        return step
+    chunk = _chunk_lanes(c, c // 2)
+    return step - step % chunk if step >= chunk else step
+
+
+def _check_census(
+    fstar: IntPoly, disc: int, parr: np.ndarray, types: np.ndarray
+) -> None:
+    """The census checks of _scan_block on one slice: InvariantViolation
+    names the first prime of parr whose row of types fails one."""
+    degree = fstar.degree
+    wrong = (types @ np.arange(1, degree + 1) != degree) | (types < 0).any(axis=1)
+    if wrong.any():
+        i = int(np.flatnonzero(wrong)[0])
+        raise InvariantViolation(
+            f"cycle type {_parts(types[i].tolist())} of {fstar} at "
+            f"p={int(parr[i])} fits no factorization of degree {degree}"
+        )
+    # (disc | p) = 1 exactly when d - r is even; p does not divide disc
+    square = ~_nonresidue(disc, parr)
+    odd = (degree - types.sum(axis=1)) % 2 == 1
+    wrong = square == odd
+    if wrong.any():
+        i = int(np.flatnonzero(wrong)[0])
+        raise InvariantViolation(
+            f"cycle type {_parts(types[i].tolist())} of {fstar} at "
+            f"p={int(parr[i])} breaks Stickelberger's parity: "
+            f"(disc | p) = {1 if square[i] else -1}"
+        )
 
 
 def _good_prime_counts(

@@ -620,8 +620,8 @@ def test_one_gcd_call_per_chunk(monkeypatch, kernel, f, K):
     parr = np.array(good_primes(f, list(primes_in(3, 500))), dtype=np.int64)
     whole = kernel(f, parr)
     d = f.degree
-    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES",
-                        7 * (d * d if kernel is census_block else d))
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 7 * d * d if K > 1 else 28 * d)
+    assert modular_mod._chunk_lanes(d, K) == 7
     gcd_degrees, stacked = modular_mod._gcd_degrees, []
 
     def counted(p, G, h):
@@ -700,7 +700,8 @@ def test_count_roots_block_partial_chunk(monkeypatch):
     cubic = IntPoly([-2, 0, 0, 1])
     parr = np.array(list(primes_in(5, 3000)), dtype=np.int64)
     whole = count_roots_block(cubic, parr)
-    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 7 * 3)  # 7 lanes
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 28 * 3)
+    assert modular_mod._chunk_lanes(3, 1) == 7
     assert parr.size % 7 != 0  # the last chunk is partial
     assert count_roots_block(cubic, parr).tolist() == whole.tolist()
     assert whole.tolist() == [count_roots_mod_p(cubic, int(p)) for p in parr]

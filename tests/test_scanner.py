@@ -1,6 +1,7 @@
 import os
 import signal
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -155,7 +156,7 @@ def test_reports_identical_across_worker_counts(monkeypatch):
     # than one lane chunk; x^2 + 1 takes Euler's criterion
     tenth = IntPoly((-1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1))
     block = sum(1 for _ in primes_in(2, scanner_mod.BLOCK_SPAN))
-    assert block > modular_mod._CHUNK_ENTRIES // tenth.degree
+    assert block > modular_mod._chunk_lanes(tenth.degree, 1)
     for f in (IntPoly((1, 0, 1)), tenth):
         reports = [scan_on(monkeypatch, w, f, rng) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
@@ -165,6 +166,75 @@ def test_reports_identical_across_worker_counts(monkeypatch):
                for w in (1, 2, 8)]
     assert reports[0] == reports[1] == reports[2]
     assert sum(reports[0].cycle_type_histogram.values()) == reports[0].good_prime_count
+
+
+# x^9 - x - 1 is irreducible (Selmer), with disc 7 * 11 * 13 * 43 * 79 * 109
+NONIC = IntPoly((-1, -1, 0, 0, 0, 0, 0, 0, 0, 1))
+# degree 7 with a cubic cofactor, whose kernel chunk is wider than a slice
+PRODUCT = multiply(multiply(IntPoly((1, 0, 1)), IntPoly((-2, 0, 1))), IntPoly((-1, -1, 0, 1)))
+
+
+@pytest.mark.parametrize("f, lo", [
+    (NONIC, 79),  # bad primes 79 and 109 in the first and last lane of a slice
+    (NONIC, 2),
+    (PRODUCT, 2),
+])
+def test_census_slices_and_kernel_chunks_leave_reports_unchanged(monkeypatch, f, lo):
+    # a census takes each sieve array in slices of whole kernel chunks;
+    # with small chunks and blocks, every block runs many slices, some
+    # partial, and a slice's last kernel chunk is partial where the slice
+    # is, so reports must not depend on where slices and chunks end
+    rng = PrimeRange(lo, 12_000)
+    monkeypatch.setenv(THREADS_ENV_VAR, "1")
+    whole = [scan(f, rng), scan(f, rng, with_cycle_types=True)]
+    monkeypatch.setattr(modular_mod, "_CHUNK_ENTRIES", 4 * 81)
+    monkeypatch.setattr(scanner_mod, "BLOCK_SPAN", 1 << 12)
+    rest = whole[0].factors.cofactor
+    step = scanner_mod._census_slice(rest, f.degree)
+    chunk = modular_mod._chunk_lanes(rest.degree, rest.degree // 2)
+    if f is NONIC:
+        assert (step, chunk) == (8, 4)  # two kernel chunks per slice
+        if lo == 79:
+            first = list(primes_in(lo, 200))[:step]
+            assert (first[0], first[-1]) == (79, 109)
+            assert whole[0].excluded_primes == (79, 109)
+    else:
+        assert step == 11 < chunk  # one partial kernel chunk per slice
+    census, sizes = scanner_mod.census_block, []
+
+    def recorded(rest, primes):
+        sizes.append(primes.size)
+        return census(rest, primes)
+    monkeypatch.setattr(scanner_mod, "census_block", recorded)
+    assert scan_on(monkeypatch, 1, f, rng, with_cycle_types=True) == whole[1]
+    blocks = -(-rng.hi // scanner_mod.BLOCK_SPAN)
+    assert max(sizes) == step and len(sizes) > 20 * blocks
+    assert min(sizes) < step and any(n % chunk for n in sizes)
+    monkeypatch.setattr(scanner_mod, "census_block", census)
+    for w in (1, 2, 8):
+        assert scan_on(monkeypatch, w, f, rng) == whole[0]
+        assert scan_on(monkeypatch, w, f, rng, with_cycle_types=True) == whole[1]
+    assert whole[1].histogram == whole[0].histogram
+
+
+@pytest.mark.parametrize("f, rng, budget", [
+    # x^12 - x - 1 over one block: every array is a slice of about 1,365
+    # primes, where whole sieve arrays held 6.06 MiB
+    (IntPoly((-1, -1) + (0,) * 10 + (1,)), PrimeRange(2, (1 << 18) - 1), 3 << 20),
+    # a cubic to 2 * 10^5 (17,978 primes, one sieve array), which held 4.23 MiB
+    (IntPoly((-257, 4, -12, 657)), PrimeRange(2, 200_000), 2 << 20),
+])
+def test_census_holds_memory_bounded_by_a_slice(monkeypatch, f, rng, budget):
+    # tracemalloc sees numpy's allocations
+    monkeypatch.setenv(THREADS_ENV_VAR, "1")
+    tracemalloc.start()
+    try:
+        report = scan(f, rng, with_cycle_types=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(report.cycle_type_histogram.values()) == report.good_prime_count
+    assert peak < budget, peak / (1 << 20)
 
 
 SEVERAL_BLOCKS = PrimeRange(2, 600_000)  # blocks [2, B - 1], [B, 2B - 1], [2B, 600000]
