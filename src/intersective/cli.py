@@ -50,6 +50,7 @@ from .quadcover import (
     QuadForm,
     decide_cover,
     exact_root_distribution,
+    form_factors,
     product_polynomial,
 )
 
@@ -205,7 +206,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if has_poly == has_forms:
         raise UsageError("check needs exactly one of --poly or --form/--forms-file")
     rng = _make_range(args)
-    forms = None
+    factors = None
     if has_poly:
         f = _nonconstant_poly(args.poly)
     else:
@@ -216,7 +217,8 @@ def _cmd_check(args: argparse.Namespace) -> None:
                 "check needs a form with a or b nonzero"
             )
         f = product_polynomial(forms)
-    check, report, dist = check_real_roots(f, rng, forms)
+        factors = form_factors(forms)
+    check, report, dist = check_real_roots(f, rng, factors)
     comparison = None
     if dist is not None and report.good_prime_count >= MIN_DENSITY_PRIMES:
         comparison = density_comparison(dist, report)

@@ -2,9 +2,10 @@
 
 A scan counts the roots of such a factor at a good prime p in O(log p),
 by Euler's criterion, and leaves only the cofactor to the Frobenius
-kernels of `modular`.  small_factors finds the factors once per
-polynomial by Hensel lifting (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 15):
+kernels of `modular`.  Forms bring their factors with them
+(quadcover.form_factors), so the finder serves a polynomial given as
+such (`--poly`) only.  small_factors finds its factors once by Hensel
+lifting (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 15):
 
 - among the first CANDIDATE_PRIMES odd primes dividing neither lc(f) nor
   disc(f), take the one where f has the most roots, all simple there,
@@ -25,27 +26,17 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import isqrt
-from typing import NamedTuple
 
 import numpy as np
 
 from .intpoly import ONE, IntPoly, canonical, derivative, discriminant, exact_div
 from .modular import _residues
 from .primes import iter_prime_arrays
+from .quadcover import SmallFactors
 
 CANDIDATE_PRIMES = 64
 # the candidates are the first good primes below this bound
 _CANDIDATE_BOUND = 1 << 12
-
-
-class SmallFactors(NamedTuple):
-    """f* as its linear factors times its quadratic factors times the
-    cofactor, which is ONE or of degree at least 3; each is canonical
-    (intpoly.canonical)."""
-
-    linear: tuple[IntPoly, ...]
-    quadratic: tuple[IntPoly, ...]
-    cofactor: IntPoly
 
 
 def small_factors(f: IntPoly) -> SmallFactors:

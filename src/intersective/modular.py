@@ -44,11 +44,12 @@ exponent in place, and the example-prime search takes each sieve array
 in slices of _CHUNK_ENTRIES >> 2 primes.
 
 The kernels see only what a scan cannot count more cheaply: the scanner
-counts the roots and parts of the factors of degree <= 2 of f* by
-Euler's criterion (scanner._good_prime_counts, factor.small_factors) and
-passes the cofactor, of degree >= 3 or 0, to count_roots_block or
-census_block.  So the int64 bound applies to the cofactor alone, the
-only polynomial the kernels power, and a constant one gets no chunk.
+counts the roots and parts of the factors of degree <= 2 of f* (the
+forms' own, or factor.small_factors') by Euler's criterion
+(scanner._good_prime_counts) and passes the cofactor, of degree >= 3,
+to count_roots_block or census_block, which also takes a constant one.
+So the int64 bound applies to the cofactor alone, the only polynomial
+the kernels power, and a constant one gets no chunk.
 
 Exact residues of big integers mod prime arrays (_residues) serve the
 reduction of the coefficients and the scanner's bad-prime filter.  One

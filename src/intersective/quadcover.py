@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import NamedTuple, Union
 
-from .intpoly import IntPoly, canonical, multiply, signed_terms
+from .intpoly import ONE, IntPoly, canonical, multiply, signed_terms
 
 EXAMPLE_PRIME_BOUND = 10**6
 
@@ -110,8 +110,6 @@ def build_square_classes(
     characters, so the span of the classes, and with it every rank and
     density, is the same as over the prime factors; no integer is factored.
     """
-    if not forms:
-        raise ValueError("at least one form is required")
     discs = [form_discriminant(q) for q in forms]
     basis = (-1,) + tuple(
         b for b in _coprime_base([abs(d) for d in discs]) if isqrt(b) ** 2 != b
@@ -224,6 +222,8 @@ def decide_cover(
     primes, and the smallest example prime below the search bound (None
     if the bound is too small).
     """
+    if not forms:
+        raise ValueError("at least one form is required")
     classes, basis = build_square_classes(forms)
     discs = [form_discriminant(q) for q in forms]
     for i, cl in enumerate(classes):
@@ -270,35 +270,53 @@ class RootDistribution(NamedTuple):
     rank: int
 
 
-def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
-    """Distribution of the number of distinct roots of prod_i (a_i t^2 + b_i t + c_i)
-    mod p over the Frobenius classes, each class carrying density 2**-rank.
+class SmallFactors(NamedTuple):
+    """f* as its linear factors times its quadratic factors times the
+    cofactor, which is ONE or of degree at least 3; each is canonical
+    (intpoly.canonical): form_factors or factor.small_factors."""
 
-    Each distinct irreducible factor over Q counts once, keyed by its
-    canonical form (intpoly.canonical).  A linear factor (from a = 0, or
-    from a square discriminant) has one root at every good prime; an
-    irreducible quadratic has 2 roots on half of the classes and 0 on the
-    other half.
-    """
-    classes, _basis = build_square_classes(forms)
-    linear: set[IntPoly] = set()
-    quadratic: dict[IntPoly, int] = {}
-    for q, cl in zip(forms, classes):
+    linear: tuple[IntPoly, ...]
+    quadratic: tuple[IntPoly, ...]
+    cofactor: IntPoly
+
+
+def form_factors(forms: list[QuadForm]) -> SmallFactors:
+    """The distinct irreducible factors over Q of prod_i (a_i t^2 + b_i t + c_i),
+    in order of first occurrence: a form with a = 0 gives a linear factor
+    (a constant none), one of square discriminant two, any other itself."""
+    linear, quadratic = [], []
+    for q in forms:
+        d = form_discriminant(q)
+        s = isqrt(max(d, 0))
         if q.a == 0:
             if q.b != 0:  # constants add nothing
-                linear.add(canonical(IntPoly((q.c, q.b))))
-        elif cl.is_trivial:
-            s = isqrt(form_discriminant(q))  # roots (-b -+ s) / 2a
-            linear.add(canonical(IntPoly((q.b + s, 2 * q.a))))
-            linear.add(canonical(IntPoly((q.b - s, 2 * q.a))))
+                linear.append(IntPoly((q.c, q.b)))
+        elif s * s == d:  # roots (-b -+ s) / 2a
+            linear += [IntPoly((q.b + s, 2 * q.a)), IntPoly((q.b - s, 2 * q.a))]
         else:
-            quadratic[canonical(IntPoly((q.c, q.b, q.a)))] = cl.bits
+            quadratic.append(IntPoly((q.c, q.b, q.a)))
+    distinct = [tuple(dict.fromkeys(map(canonical, g))) for g in (linear, quadratic)]
+    return SmallFactors(*distinct, ONE)
+
+
+def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
+    """root_distribution of the product of the forms (form_factors)."""
+    return root_distribution(form_factors(forms))
+
+
+def root_distribution(factors: SmallFactors) -> RootDistribution:
+    """Distribution of the number of distinct roots mod p of the product of
+    factors with cofactor ONE over the Frobenius classes, each of density
+    2**-rank: a linear factor has one root at every good prime, and an
+    irreducible quadratic 2 on half of the classes and 0 on the other."""
+    forms = [QuadForm(*reversed(g.coeffs)) for g in factors.quadratic]
+    classes, _basis = build_square_classes(forms)
 
     # Character psi gives the word (<psi, w_i>)_i of the binary code C of
     # length n, one coordinate per distinct quadratic.  C has dimension
     # rank, a word of weight k means 2 * (n - k) quadratic roots, and the
     # tracks of the dependent classes form a basis of the dual code.
-    pivots, dependent = _eliminate(list(quadratic.values()))
+    pivots, dependent = _eliminate([cl.bits for cl in classes])
     n, rank = len(dependent), len(pivots)
     if min(rank, n - rank) > MAX_ENUMERATION_RANK:
         raise ValueError(
@@ -326,7 +344,7 @@ def exact_root_distribution(forms: list[QuadForm]) -> RootDistribution:
         weights = _macwilliams(_weight_counts(columns, n - rank), n - rank)
     total_classes = 1 << rank
     densities = {
-        len(linear) + 2 * (n - k): Fraction(cnt, total_classes)
+        len(factors.linear) + 2 * (n - k): Fraction(cnt, total_classes)
         for k, cnt in reversed(list(enumerate(weights)))
         if cnt
     }

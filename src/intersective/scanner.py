@@ -9,14 +9,14 @@ its root counts occurs; merged in block order, these name the least
 prime of the range with a given count (ScanReport.least_prime_with)
 without a second pass.
 
-Before the blocks run, factor.small_factors splits off the factors of
-f* of degree <= 2 over Z.  At a good prime a linear factor has one root
-and a quadratic factor of discriminant D two or none as (D | p) = 1 or
--1, by a batched Euler criterion; only the cofactor of degree >= 3 goes
-to the Frobenius kernels of `modular` (_good_prime_counts).  Cycle types
-combine the same way and are checked on f* as a whole (_scan_block).
-The split is kept as ScanReport.factors, so check_real_roots reads f*'s
-factors from the scan.
+Before the blocks run, f*'s factors of degree <= 2 over Z are fixed:
+the caller's (quadcover.form_factors for forms), or else those that
+factor.small_factors splits off.  At a good prime a linear factor has
+one root and a quadratic factor of discriminant D two or none as
+(D | p) = 1 or -1, by a batched Euler criterion; only the cofactor of
+degree >= 3 goes to the Frobenius kernels of `modular`
+(_good_prime_counts).  Cycle types combine the same way and are checked
+on f* as a whole (_scan_block).  The split is kept as ScanReport.factors.
 
 A census takes each sieve array in slices of about as many primes as a
 root-count chunk of deg f* has lanes, rounded down to whole kernel
@@ -40,12 +40,13 @@ import pickle
 import threading
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .factor import SmallFactors, small_factors
-from .intpoly import ONE, IntPoly, discriminant, squarefree_part
+from .factor import small_factors
+from .intpoly import ONE, IntPoly, discriminant, multiply, squarefree_part
 from .modular import (
     _chunk_lanes,
     _nonresidue,
@@ -55,7 +56,7 @@ from .modular import (
 )
 from .parse import HARD_SCAN_CAP, InvariantViolation, WorkerLost
 from .primes import PrimeRange, iter_prime_arrays
-from .quadcover import QuadForm, RootDistribution, exact_root_distribution
+from .quadcover import RootDistribution, SmallFactors, root_distribution
 
 BLOCK_SPAN = 1 << 18
 
@@ -71,7 +72,7 @@ class ScanReport(NamedTuple):
     cycle_type_histogram: dict[tuple[int, ...], int] | None
     empirical_density_with_root: Fraction | None
     least_prime_with: dict[int, int]  # root count -> least good prime with it
-    factors: SmallFactors  # small_factors(f*), which no report prints
+    factors: SmallFactors  # f*'s, given or found; no report prints them
 
     @property
     def good_prime_count(self) -> int:
@@ -107,7 +108,7 @@ def _scan_block(
 ) -> tuple[Counter, Counter, list[int], dict[int, int]]:
     """Root-count histogram, cycle types, excluded primes and the least
     prime with each root count, of one block; disc is disc(f*) and split
-    its factors of degree <= 2 (small_factors).
+    its factors of degree <= 2 (ScanReport.factors).
 
     Each census is checked at every prime on f* as a whole, whichever
     path gave its parts: the parts sum to deg f*, no count is negative,
@@ -199,19 +200,17 @@ def _good_prime_counts(
     counts add up over them: a linear factor has 1 root, a quadratic one
     of discriminant D has 2 roots, type (1, 1), or none, type (2), as
     (D | p) = 1 or -1 by Euler's criterion, and the cofactor goes to the
-    kernels of `modular`, which count nothing for a constant one.  Their
-    int64 bound applies to the cofactor alone, the only polynomial they
-    power (modular._chunks).
+    kernels of `modular`, which count nothing for a constant one (root
+    counts then skip them).  Their int64 bound applies to the cofactor
+    alone, the only polynomial they power (modular._chunks).
     """
-    # inert: the number of quadratic factors with no root, 0 if there are none
-    inert = sum(
-        _nonresidue(b * b - 4 * a * c, parr)
-        for c, b, a in (q.coeffs for q in split.quadratic)
-    )
+    # inert: the number of quadratic factors with no root at each prime
+    discs = [b * b - 4 * a * c for c, b, a in (q.coeffs for q in split.quadratic)]
+    inert = sum((_nonresidue(d, parr) for d in discs), np.zeros(parr.size, dtype=np.int64))
     ones = len(split.linear) + 2 * len(split.quadratic) - 2 * inert
     rest = split.cofactor
     if not with_cycle_types:
-        return count_roots_block(rest, parr) + ones, None
+        return (ones if rest == ONE else count_roots_block(rest, parr) + ones), None
     types = np.zeros((parr.size, degree), dtype=np.int64)
     types[:, : rest.degree] = census_block(rest, parr)
     types[:, 0] += ones
@@ -331,12 +330,14 @@ def scan(
     f: IntPoly,
     rng: PrimeRange,
     with_cycle_types: bool = False,
+    factors: SmallFactors | None = None,
 ) -> ScanReport:
     """Histogram of distinct-root counts of f over the primes in rng.
 
     Primes dividing 2 * lc(f*) * disc(f*) are listed separately and kept
     out of the histogram.  With with_cycle_types, every good prime also
-    gets its cycle type, checked there (see _scan_block).
+    gets its cycle type, checked there (see _scan_block).  f*'s factors
+    are factors, else factor.small_factors(f*); they must multiply to f*.
     """
     if f.is_zero:
         raise ValueError("cannot scan the zero polynomial")
@@ -346,7 +347,10 @@ def scan(
         raise ValueError(f"scan range end {rng.hi} exceeds the cap {HARD_SCAN_CAP}")
     fstar = squarefree_part(f)
     disc = discriminant(fstar)
-    split = small_factors(fstar)  # once, before any worker is forked
+    split = small_factors(fstar) if factors is None else factors  # before any fork
+    product = reduce(multiply, (*split.linear, *split.quadratic), split.cofactor)
+    if product != fstar:
+        raise InvariantViolation(f"the factors of {f} multiply to {product}, not {fstar}")
 
     blocks = []
     start = (rng.lo // BLOCK_SPAN) * BLOCK_SPAN
@@ -412,33 +416,26 @@ class RealRootCheck(NamedTuple):
 
 
 def check_real_roots(
-    f: IntPoly, rng: PrimeRange, forms: list[QuadForm] | None = None
+    f: IntPoly, rng: PrimeRange, factors: SmallFactors | None = None
 ) -> tuple[RealRootCheck, ScanReport, RootDistribution | None]:
-    """The check of f over rng, its scan, and the exact distribution of
-    its root counts when f*'s factors are known.
+    """The check of f over rng, its scan (of f*'s factors, see scan), and
+    the exact distribution of its root counts when their cofactor is ONE.
 
-    They are known from forms, whose product is f, or else when the scan's
-    split of f* (ScanReport.factors) leaves the cofactor ONE: a linear
-    factor is the form (0, b, c), a quadratic one (a, b, c).  Then the
-    check is exact: the minimum root count over Frobenius classes is
-    exact, and f must have at least that many distinct real roots.  Every
-    good prime's Frobenius lies in one of the classes, so a root count of
-    the scan that no class gives raises InvariantViolation, naming the
-    count and the least prime of rng where it occurs.  Otherwise the
-    check is empirical: if every scanned good prime sees a root, expect a
-    real root.
+    Then the check is exact: the minimum root count over Frobenius classes
+    is exact, and f must have at least that many distinct real roots.
+    InvariantViolation is raised for a root count of the scan that no class
+    gives, naming the least prime of rng with it, and for a real-root count
+    other than one per linear factor and two per quadratic factor of
+    positive discriminant.  Otherwise the check is empirical: if every
+    scanned good prime sees a root, expect a real root.
     """
     # imported here: a scan never loads sturm
     from .sturm import count_real_roots
 
-    dist = None if forms is None else exact_root_distribution(forms)
-    report = scan(f, rng)
+    report = scan(f, rng, factors=factors)
     split = report.factors
-    if dist is None and split.cofactor == ONE:
-        dist = exact_root_distribution(
-            [QuadForm(0, g.coeffs[1], g.coeffs[0]) for g in split.linear]
-            + [QuadForm(*reversed(g.coeffs)) for g in split.quadratic]
-        )
+    dist = None if split.cofactor != ONE else root_distribution(split)
+    real = count_real_roots(f)
     if dist is not None:
         stray = [k for k in report.histogram if k not in dist.densities]
         if stray:
@@ -447,7 +444,11 @@ def check_real_roots(
                 f"a count no Frobenius class of the forms gives "
                 f"(exact counts {sorted(dist.densities)})"
             )
-    real = count_real_roots(f)
+        split_real = len(split.linear) + 2 * sum(
+            b * b - 4 * a * c > 0 for c, b, a in (g.coeffs for g in split.quadratic))
+        if real != split_real:
+            raise InvariantViolation(
+                f"{f} has {real} distinct real roots, but its factors have {split_real}")
     observed = report.min_roots_observed
     exact = None if dist is None else dist.min_roots
     # empirically, a root at every scanned good prime calls for a real root

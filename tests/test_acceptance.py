@@ -26,6 +26,7 @@ from intersective.quadcover import (
     exact_root_distribution,
     form_discriminant,
     is_positive_definite,
+    form_factors,
     product_polynomial,
 )
 from intersective.reports import dumps, scan_report_json
@@ -136,7 +137,8 @@ def test_criterion_5_densities_match_chebotarev_predictions():
     with _Gate("criterion 5: scanned root-count frequencies below 10^6 match "
                "the exact distributions within 0.01") as gate:
         _, report, dist = check_real_roots(
-            product_polynomial(TRIPLE_FORMS), PrimeRange(2, 10**6), TRIPLE_FORMS
+            product_polynomial(TRIPLE_FORMS), PrimeRange(2, 10**6),
+            form_factors(TRIPLE_FORMS),
         )
         comparison = density_comparison(dist, report)
         assert dist.densities == {2: Fraction(3, 4), 6: Fraction(1, 4)}
@@ -144,7 +146,7 @@ def test_criterion_5_densities_match_chebotarev_predictions():
         first = gate.elapsed
         assert first < 30.0
         _, report, dist = check_real_roots(
-            product_polynomial(PAIR_FORMS), PrimeRange(2, 10**6), PAIR_FORMS
+            product_polynomial(PAIR_FORMS), PrimeRange(2, 10**6), form_factors(PAIR_FORMS),
         )
         comparison = density_comparison(dist, report)
         assert dist.densities == {

@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import intersective.cli as cli_mod
 import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
+import intersective.sturm as sturm_mod
 from intersective.cli import build_parser, main
+from intersective.intpoly import ONE, IntPoly
 from intersective.parse import InvariantViolation
-from intersective.quadcover import RootDistribution
+from intersective.quadcover import RootDistribution, SmallFactors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -443,13 +446,42 @@ def test_check_with_a_root_count_of_no_class_exits_3(monkeypatch):
 def test_check_poly_with_a_root_count_of_no_class_exits_3(monkeypatch):
     # a distribution made to give 6 roots on every class: the scan's
     # least prime with 2 roots is 5
-    monkeypatch.setattr(scanner_mod, "exact_root_distribution",
-                        lambda forms: RootDistribution({6: Fraction(1)}, 6, 0))
+    monkeypatch.setattr(scanner_mod, "root_distribution",
+                        lambda factors: RootDistribution({6: Fraction(1)}, 6, 0))
     out, err = run_cli("check", "--poly", "(x^2+1)*(x^2+2)*(x^2-2)", "--to", "1000",
                        expect=3)
     assert out == ""
     assert err == ("internal check failed: x^6+x^4-4x^2-4 has 2 roots mod p=5, a count "
                    "no Frobenius class of the forms gives (exact counts [6])\n")
+
+
+@pytest.mark.parametrize("source", [
+    ("--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2"),
+    ("--poly", "(x^2+1)*(x^2+2)*(x^2-2)"),
+])
+def test_check_with_a_real_root_count_its_factors_deny_exits_3(monkeypatch, source):
+    # a Sturm count made one too high: of the factors x^2+1, x^2+2 and
+    # x^2-2 only the last has real roots, two of them
+    count = sturm_mod.count_real_roots
+    monkeypatch.setattr(sturm_mod, "count_real_roots", lambda f: count(f) + 1)
+    out, err = run_cli("check", *source, "--to", "1000", expect=3)
+    assert out == ""
+    assert err == ("internal check failed: x^6+x^4-4x^2-4 has 3 distinct real "
+                   "roots, but its factors have 2\n")
+    # an empirical check has no factors to hold the count to
+    obj = json.loads(run_cli("check", "--poly", "x^3-2", "--to", "1000")[0])
+    assert (obj["mode"], obj["real_root_count"]) == ("empirical", 2)
+
+
+def test_check_of_factors_that_miss_the_product_exits_3(monkeypatch):
+    # factors of the forms that leave x^2+2 out
+    monkeypatch.setattr(cli_mod, "form_factors", lambda forms: SmallFactors(
+        (), (IntPoly((1, 0, 1)), IntPoly((-2, 0, 1))), ONE))
+    out, err = run_cli("check", "--form", "1,0,1", "--form", "1,0,2", "--form", "1,0,-2",
+                       "--to", "1000", expect=3)
+    assert out == ""
+    assert err == ("internal check failed: the factors of x^6+x^4-4x^2-4 multiply "
+                   "to x^4-x^2-2, not x^6+x^4-4x^2-4\n")
 
 
 def test_a_stray_count_first_seen_in_a_later_block_names_its_least_prime(monkeypatch):

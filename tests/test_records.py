@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from intersective.factor import SmallFactors
 from intersective.intpoly import ONE, IntPoly
 from intersective.primes import PrimeRange
 from intersective.quadcover import (
@@ -13,6 +12,7 @@ from intersective.quadcover import (
     FrobeniusClass,
     QuadForm,
     RootDistribution,
+    SmallFactors,
     SquareClass,
 )
 from intersective.scanner import (
@@ -38,6 +38,8 @@ RECORDS = [
      ({0: Fraction(1, 2), 2: Fraction(1, 2)}, 0, 1)),
     (Interval, ("lo", "hi"), (Fraction(1, 3), Fraction(1, 2))),
     (PrimeRange, ("lo", "hi"), (3, 100)),
+    (SmallFactors, ("linear", "quadratic", "cofactor"),
+     ((IntPoly((1, 1)),), (IntPoly((1, 0, 1)),), ONE)),
     (ScanReport,
      ("polynomial", "range", "excluded_primes", "histogram",
       "min_roots_observed", "cycle_type_histogram",

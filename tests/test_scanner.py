@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import numpy as np
@@ -13,9 +14,15 @@ from hypothesis import strategies as st
 
 import intersective.modular as modular_mod
 import intersective.scanner as scanner_mod
-from intersective.intpoly import ONE, IntPoly, discriminant, multiply
+from intersective.intpoly import ONE, IntPoly, discriminant, multiply, squarefree_part
 from intersective.primes import PrimeRange, primes_in
-from intersective.quadcover import QuadForm, product_polynomial
+from intersective.quadcover import (
+    QuadForm,
+    SmallFactors,
+    exact_root_distribution,
+    form_factors,
+    product_polynomial,
+)
 from intersective.scanner import (
     HARD_SCAN_CAP,
     THREADS_ENV_VAR,
@@ -458,7 +465,7 @@ def test_check_real_roots_empirical():
 
 def test_check_real_roots_forms_exact():
     rng = PrimeRange(2, 2000)
-    check, report, dist = check_real_roots(TRIPLE_POLY, rng, TRIPLE_FORMS)
+    check, report, dist = check_real_roots(TRIPLE_POLY, rng, form_factors(TRIPLE_FORMS))
     assert check.mode == "exact"
     assert check.exact_min_roots == 2
     assert check.real_root_count == 2
@@ -467,14 +474,24 @@ def test_check_real_roots_forms_exact():
     assert report.min_roots_observed == 2
     assert dist.min_roots == 2
     # the same polynomial without its forms: the scan splits it completely
-    assert check_real_roots(TRIPLE_POLY, rng) == (check, report, dist)
-    check, _, dist = check_real_roots(IntPoly((1, 0, 1)), rng, [QuadForm(1, 0, 1)])
+    assert_same_check(check_real_roots(TRIPLE_POLY, rng), (check, report, dist))
+    x2p1 = IntPoly((1, 0, 1))
+    check, _, dist = check_real_roots(x2p1, rng, form_factors([QuadForm(1, 0, 1)]))
     assert dist.min_roots == 0
     assert check.real_root_count == 0
     assert check.verdict == "consistent"
     # exact, x^2 + 1 needs no real root, however many roots a tiny sample shows
-    check, _, _ = check_real_roots(IntPoly((1, 0, 1)), PrimeRange(5, 6))
+    check, _, _ = check_real_roots(x2p1, PrimeRange(5, 6))
     assert check == (2, 0, 0, "consistent", "exact")
+
+
+def assert_same_check(got, expected):
+    """Equal checks, distributions and reports but for the reports' factors,
+    which the finder and form_factors may list differently (the finder
+    keeps a degree-2 f* whole, x^2 - 1 included)."""
+    (check, report, dist), (check_e, report_e, dist_e) = got, expected
+    assert (check, dist) == (check_e, dist_e)
+    assert report._replace(factors=None) == report_e._replace(factors=None)
 
 
 LINEAR_FORMS = st.builds(
@@ -483,28 +500,92 @@ LINEAR_FORMS = st.builds(
 QUADRATIC_FORMS = st.builds(
     QuadForm, st.integers(1, 3), st.integers(-6, 6), st.integers(-30, 30)
 )
+# (p t + q)(r t + s): a square discriminant, zero when the roots meet
+SQUARE_FORMS = st.builds(
+    lambda p, q, r, s: QuadForm(p * r, p * s + q * r, q * s),
+    st.integers(1, 3), st.integers(-5, 5), st.integers(1, 3), st.integers(-5, 5),
+)
+CONSTANT_FORMS = st.builds(lambda c: QuadForm(0, 0, c), st.integers(-9, 9).filter(bool))
+FORMS = st.one_of(LINEAR_FORMS, QUADRATIC_FORMS, SQUARE_FORMS, CONSTANT_FORMS)
 
 
-@settings(max_examples=30, deadline=None)
+@st.composite
+def form_lists(draw):
+    """1-6 forms: 1-4 drawn, then up to two nonzero multiples of them."""
+    forms = draw(st.lists(FORMS, min_size=1, max_size=4))
+    for k in draw(st.lists(st.integers(-3, 3).filter(bool), max_size=2)):
+        q = draw(st.sampled_from(forms))
+        forms.append(QuadForm(k * q.a, k * q.b, k * q.c))
+    return forms
+
+
+@settings(max_examples=40, deadline=None)
 @example(forms=TRIPLE_FORMS)
-@given(forms=st.lists(st.one_of(LINEAR_FORMS, QUADRATIC_FORMS), min_size=1, max_size=6))
+@example(forms=[QuadForm(0, 0, 3), QuadForm(1, 0, 1), QuadForm(1, 0, -2)])
+@example(forms=[QuadForm(1, 0, 1), QuadForm(2, 0, 2), QuadForm(1, 2, 1)])
+@given(forms=form_lists())
 def test_check_of_a_complete_split_equals_the_check_of_its_forms(forms):
+    # form_factors lists f*'s factors, each once; a check given them is
+    # exact, and reads as the check of f whenever the finder splits f*
     f = product_polynomial(forms)
+    factors = form_factors(forms)
+    assert factors.cofactor == ONE
+    assert reduce(multiply, factors.linear + factors.quadratic, ONE) == squarefree_part(f)
+    if f.degree < 1:
+        return
     rng = PrimeRange(2, 3000)
+    expected = check_real_roots(f, rng, factors)
+    assert expected[0].mode == "exact"
     check, report, dist = check_real_roots(f, rng)
     if report.factors.cofactor != ONE:
         assert (check.mode, check.exact_min_roots, dist) == ("empirical", None, None)
         return
-    expected, expected_report, expected_dist = check_real_roots(f, rng, forms)
-    assert check.mode == "exact"
-    assert check == expected
+    assert_same_check((check, report, dist), expected)
+    _, expected_report, expected_dist = expected
     assert density_comparison(dist, report) == density_comparison(
         expected_dist, expected_report
     )
 
 
+def test_known_factors_skip_the_finder_and_the_kernel(monkeypatch):
+    # the finder leaves 6 of the 20 quadratics x^2 + p in a degree-12
+    # cofactor for the kernel; given the forms' factors, Euler's criterion
+    # counts every one of them
+    forms = [QuadForm(1, 0, p) for p in primes_in(3, 73)]
+    f = product_polynomial(forms)
+    rng = PrimeRange(2, 20_000)
+    assert scan(f, PrimeRange(2, 3)).factors.cofactor.degree == 12
+    expected = check_real_roots(f, rng)
+
+    def refuse(*args):
+        raise AssertionError("called")
+    monkeypatch.setattr(scanner_mod, "small_factors", refuse)
+    monkeypatch.setattr(scanner_mod, "count_roots_block", refuse)
+    got = check_real_roots(f, rng, form_factors(forms))
+    assert got[0][1:] == (0, 0, "consistent", "exact")
+    assert got[2] == exact_root_distribution(forms)
+    # the kernel's counts of the cofactor are Euler's, and the finder's
+    # split leaves that check empirical
+    assert got[1]._replace(factors=None) == expected[1]._replace(factors=None)
+    assert expected[0].mode == "empirical"
+    assert got[1].factors == form_factors(forms)
+    assert len(got[1].factors.quadratic) == 20
+
+
+def test_factors_that_miss_f_star_are_refused():
+    # x^2 + 2 left out, and a factor that is not one of f's
+    with pytest.raises(InvariantViolation, match="multiply to x\\^4-x\\^2-2, not"):
+        scan(TRIPLE_POLY, PrimeRange(2, 100),
+             factors=SmallFactors((), form_factors(TRIPLE_FORMS).quadratic[::2], ONE))
+    with pytest.raises(InvariantViolation, match="the factors of x\\^2\\+1 multiply"):
+        check_real_roots(IntPoly((1, 0, 1)), PrimeRange(2, 100),
+                         SmallFactors((), (IntPoly((2, 0, 1)),), ONE))
+
+
 def test_compare_densities_triple():
-    _, report, dist = check_real_roots(TRIPLE_POLY, PrimeRange(2, 10**5), TRIPLE_FORMS)
+    _, report, dist = check_real_roots(
+        TRIPLE_POLY, PrimeRange(2, 10**5), form_factors(TRIPLE_FORMS)
+    )
     comparison = density_comparison(dist, report)
     assert dist.densities == {2: Fraction(3, 4), 6: Fraction(1, 4)}
     by_count = {row.root_count: row for row in comparison.rows}

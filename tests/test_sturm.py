@@ -15,7 +15,7 @@ from intersective.intpoly import (
     squarefree_part,
 )
 from intersective.primes import PrimeRange
-from intersective.quadcover import QuadForm, product_polynomial
+from intersective.quadcover import QuadForm, form_factors, product_polynomial
 from intersective.scanner import check_real_roots
 from intersective.sturm import (
     DEFAULT_MIN_WIDTH,
@@ -396,7 +396,7 @@ def test_check_runs_one_remainder_sequence_per_polynomial(monkeypatch):
 
     triple = [QuadForm(1, 0, 1), QuadForm(1, 0, 2), QuadForm(1, 0, -2)]
     product = product_polynomial(triple)
-    calls = prem_calls(monkeypatch, lambda: check_real_roots(product, primes, triple))
+    calls = prem_calls(monkeypatch, lambda: check_real_roots(product, primes, form_factors(triple)))
     assert 0 < calls <= 5, calls
 
     g = dense_poly(rng, 8)
